@@ -192,8 +192,26 @@ bool Mhp::mayHappenInParallel(NodeId a, NodeId b) const {
 
 namespace {
 
-void addUnique(std::vector<SymbolId>& v, SymbolId s) {
-  if (std::find(v.begin(), v.end(), s) == v.end()) v.push_back(s);
+/// Appends `cls` to a node's class list on its first record there,
+/// remembering that record's position in the class's site list.
+void addUnique(std::vector<SymbolId>& classes,
+               std::vector<std::uint32_t>& first, SymbolId cls,
+               std::size_t record) {
+  if (std::find(classes.begin(), classes.end(), cls) != classes.end())
+    return;
+  classes.push_back(cls);
+  first.push_back(static_cast<std::uint32_t>(record));
+}
+
+/// The record `byNode` points at for (classes, first), or null.
+template <typename Record>
+const Record* recordAt(
+    const std::unordered_map<SymbolId, std::vector<Record>>& sites,
+    const std::vector<SymbolId>& classes,
+    const std::vector<std::uint32_t>& first, SymbolId cls) {
+  const auto it = std::find(classes.begin(), classes.end(), cls);
+  if (it == classes.end()) return nullptr;
+  return &sites.at(cls)[first[static_cast<std::size_t>(it - classes.begin())]];
 }
 
 /// One symbol's accessor in the per-symbol candidate list.
@@ -291,6 +309,16 @@ void computeSyncAndConflictEdges(pfg::Graph& graph, const Mhp& mhp) {
   computeSyncAndConflictEdges(graph, mhp, collectAccessSites(graph));
 }
 
+const AccessSites::Def* AccessSites::defAt(NodeId node, SymbolId cls) const {
+  const NodeAccess& acc = byNode[node.index()];
+  return recordAt(defs, acc.defs, acc.defFirst, cls);
+}
+
+const AccessSites::Use* AccessSites::useAt(NodeId node, SymbolId cls) const {
+  const NodeAccess& acc = byNode[node.index()];
+  return recordAt(uses, acc.uses, acc.useFirst, cls);
+}
+
 AccessSites collectAccessSites(const pfg::Graph& graph) {
   AccessSites sites;
   sites.byNode.resize(graph.size());
@@ -306,9 +334,11 @@ AccessSites collectAccessSites(const pfg::Graph& graph) {
       const SymbolId cls = aliases.useTargetOf(sub);
       if (!cls.valid() || !aliases.classShared(cls, syms)) return;
       const bool viaDeref = sub.kind == ir::ExprKind::Deref;
-      sites.uses[cls].push_back(AccessSites::Use{
+      std::vector<AccessSites::Use>& list = sites.uses[cls];
+      AccessSites::NodeAccess& acc = sites.byNode[node.index()];
+      addUnique(acc.uses, acc.useFirst, cls, list.size());
+      list.push_back(AccessSites::Use{
           &sub, stmt, node, viaDeref ? SymbolId{} : sub.var, viaDeref});
-      addUnique(sites.byNode[node.index()].uses, cls);
     });
   };
 
@@ -321,9 +351,11 @@ AccessSites collectAccessSites(const pfg::Graph& graph) {
       const SymbolId def = aliases.defTargetOf(*s);
       if (def.valid() && aliases.classShared(def, syms)) {
         const bool viaDeref = s->lhsKind == ir::LValueKind::Deref;
-        sites.defs[def].push_back(AccessSites::Def{
+        std::vector<AccessSites::Def>& list = sites.defs[def];
+        AccessSites::NodeAccess& acc = sites.byNode[n.id.index()];
+        addUnique(acc.defs, acc.defFirst, def, list.size());
+        list.push_back(AccessSites::Def{
             s, n.id, viaDeref ? SymbolId{} : s->lhs, viaDeref});
-        addUnique(sites.byNode[n.id.index()].defs, def);
       }
     }
     if (n.terminator != nullptr && n.terminator->expr)

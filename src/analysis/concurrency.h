@@ -192,12 +192,21 @@ struct AccessSites {
   std::unordered_map<SymbolId, std::vector<Use>> uses;
 
   /// Alias classes each node defines / uses, first-occurrence statement
-  /// order, deduplicated. Indexed by NodeId.
+  /// order, deduplicated. Indexed by NodeId. `defFirst[i]` is the
+  /// position in `defs.at(defs[i])` of the node's first record of that
+  /// class (likewise `useFirst` for uses).
   struct NodeAccess {
     std::vector<SymbolId> defs;
     std::vector<SymbolId> uses;
+    std::vector<std::uint32_t> defFirst;
+    std::vector<std::uint32_t> useFirst;
   };
   std::vector<NodeAccess> byNode;
+
+  /// The first Def / Use record of class `cls` at `node` (statement
+  /// order), or null.
+  [[nodiscard]] const Def* defAt(NodeId node, SymbolId cls) const;
+  [[nodiscard]] const Use* useAt(NodeId node, SymbolId cls) const;
 };
 
 /// Populates graph.conflicts (Ecf), graph.mutexEdges (Emutex) and

@@ -40,16 +40,21 @@ bool isUpwardExposedFromBody(const pfg::Graph& graph,
   }
 
   // Backward search restricted to the body (plus its lock node): exposed
-  // iff some definition-free control path reaches the lock node.
+  // iff some definition-free control path reaches the lock node. Visited
+  // marks are kept per member position (the lock node reaches the
+  // search's end, so it needs none).
   std::deque<NodeId> work;
-  std::vector<bool> visited(graph.size(), false);
+  std::vector<bool> visited(b.members.count(), false);
   auto enqueuePreds = [&](NodeId id) {
     for (NodeId p : graph.node(id).preds) {
-      if (p != b.lockNode && !b.members.test(p.index())) continue;
-      if (!visited[p.index()]) {
-        visited[p.index()] = true;
+      if (p == b.lockNode) {
         work.push_back(p);
+        continue;
       }
+      const std::size_t at = b.members.indexOf(p);
+      if (at == b.members.count() || visited[at]) continue;
+      visited[at] = true;
+      work.push_back(p);
     }
   };
   enqueuePreds(node);
@@ -82,14 +87,13 @@ bool defReachesBodyExit(const pfg::Graph& graph, const mutex::MutexBody& b,
   // Forward search restricted to the body: reaches iff some control path
   // arrives at the unlock node without passing another definition.
   std::deque<NodeId> work;
-  std::vector<bool> visited(graph.size(), false);
+  std::vector<bool> visited(b.members.count(), false);
   auto enqueueSuccs = [&](NodeId id) {
     for (NodeId s : graph.node(id).succs) {
-      if (!b.members.test(s.index())) continue;  // unlock node is a member
-      if (!visited[s.index()]) {
-        visited[s.index()] = true;
-        work.push_back(s);
-      }
+      const std::size_t at = b.members.indexOf(s);  // unlock is a member
+      if (at == b.members.count() || visited[at]) continue;
+      visited[at] = true;
+      work.push_back(s);
     }
   };
   enqueueSuccs(node);
@@ -114,12 +118,11 @@ RewriteStats rewritePiTerms(pfg::Graph& graph, ssa::SsaForm& form,
 
     // For every lock whose well-formed body contains the use, try to
     // remove conflict arguments coming from other bodies of the same
-    // mutex structure (Algorithm A.3 lines 14–20).
-    for (SymbolId lockVar : structures.lockVars()) {
-      const MutexBodyId bId =
-          structures.wellFormedBodyContaining(useNode, lockVar);
-      if (!bId.valid()) continue;
+    // mutex structure (Algorithm A.3 lines 14–20). The containing bodies
+    // come in lock-variable order, one per lock.
+    for (MutexBodyId bId : structures.bodiesContaining(useNode)) {
       const mutex::MutexBody& b = structures.body(bId);
+      const SymbolId lockVar = b.lockVar;
 
       const bool exposed = isUpwardExposedFromBody(graph, b, v, p.piUse,
                                                    p.piUseStmt, useNode);

@@ -7,14 +7,6 @@ namespace cssame::mutex {
 
 namespace {
 
-/// Locks (lock variables) whose well-formed bodies contain `node`.
-std::set<SymbolId> locksetOf(NodeId node, const MutexStructures& structures) {
-  std::set<SymbolId> out;
-  for (MutexBodyId id : structures.bodiesContaining(node))
-    out.insert(structures.body(id).lockVar);
-  return out;
-}
-
 bool disjoint(const std::set<SymbolId>& a, const std::set<SymbolId>& b) {
   for (SymbolId x : a)
     if (b.contains(x)) return false;
@@ -41,17 +33,11 @@ std::string locksetStr(const std::set<SymbolId>& ls,
 const ir::Stmt* accessStmtAt(NodeId node, SymbolId var, bool isDef,
                              const analysis::AccessSites& sites) {
   if (isDef) {
-    auto it = sites.defs.find(var);
-    if (it != sites.defs.end())
-      for (const auto& d : it->second)
-        if (d.node == node) return d.stmt;
-  } else {
-    auto it = sites.uses.find(var);
-    if (it != sites.uses.end())
-      for (const auto& u : it->second)
-        if (u.node == node) return u.stmt;
+    const auto* d = sites.defAt(node, var);
+    return d != nullptr ? d->stmt : nullptr;
   }
-  return nullptr;
+  const auto* u = sites.useAt(node, var);
+  return u != nullptr ? u->stmt : nullptr;
 }
 
 }  // namespace
@@ -72,10 +58,10 @@ RaceReport detectRaces(const pfg::Graph& graph, const analysis::Mhp& mhp,
   for (const auto& [var, defs] : sites.defs) {
     if (defs.size() < 2 && !sites.uses.contains(var)) continue;
 
-    std::vector<std::set<SymbolId>> defLocksets;
+    std::vector<const std::set<SymbolId>*> defLocksets;
     defLocksets.reserve(defs.size());
     for (const auto& d : defs)
-      defLocksets.push_back(locksetOf(d.node, structures));
+      defLocksets.push_back(&structures.locksetAt(d.node));
 
     // InconsistentLocking: some write protected by a lock, another write
     // not protected by that lock. Only meaningful if the variable is ever
@@ -93,20 +79,21 @@ RaceReport detectRaces(const pfg::Graph& graph, const analysis::Mhp& mhp,
 
     std::set<SymbolId> intersection;
     bool first = true;
-    for (const auto& ls : defLocksets) {
+    for (const std::set<SymbolId>* ls : defLocksets) {
       if (first) {
-        intersection = ls;
+        intersection = *ls;
         first = false;
       } else {
         std::set<SymbolId> tmp;
         std::set_intersection(intersection.begin(), intersection.end(),
-                              ls.begin(), ls.end(),
+                              ls->begin(), ls->end(),
                               std::inserter(tmp, tmp.begin()));
         intersection = std::move(tmp);
       }
     }
     bool anyProtected = false;
-    for (const auto& ls : defLocksets) anyProtected |= !ls.empty();
+    for (const std::set<SymbolId>* ls : defLocksets)
+      anyProtected |= !ls->empty();
     if (anyProtected && intersection.empty() && defs.size() > 1) {
       ++report.inconsistentLocking;
       Diagnostic& d = diag.warn(
@@ -116,7 +103,7 @@ RaceReport detectRaces(const pfg::Graph& graph, const analysis::Mhp& mhp,
       // Witness: every write site with the locks it holds.
       for (std::size_t i = 0; i < defs.size(); ++i)
         d.note(defs[i].stmt->loc,
-               "write under lockset " + locksetStr(defLocksets[i], syms));
+               "write under lockset " + locksetStr(*defLocksets[i], syms));
     }
 
     // PotentialDataRace: concurrent def/def or def/use with disjoint
@@ -125,8 +112,8 @@ RaceReport detectRaces(const pfg::Graph& graph, const analysis::Mhp& mhp,
     for (const pfg::ConflictEdge& e : graph.conflicts) {
       if (e.var != var || raced) continue;
       if (!mhp.mayHappenInParallel(e.from, e.to)) continue;
-      const std::set<SymbolId> fromLs = locksetOf(e.from, structures);
-      const std::set<SymbolId> toLs = locksetOf(e.to, structures);
+      const std::set<SymbolId>& fromLs = structures.locksetAt(e.from);
+      const std::set<SymbolId>& toLs = structures.locksetAt(e.to);
       if (disjoint(fromLs, toLs)) {
         ++report.potentialRaces;
         raced = true;

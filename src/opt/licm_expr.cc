@@ -28,7 +28,6 @@ class ExprHoister {
     };
     std::vector<Span> spans;
     for (const mutex::MutexBody& b : comp_.mutexes().bodies()) {
-      if (!b.wellFormed) continue;
       spans.push_back(Span{graph_.node(b.lockNode).syncStmt,
                            graph_.node(b.unlockNode).syncStmt});
     }

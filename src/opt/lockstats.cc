@@ -11,14 +11,12 @@ CriticalSectionReport analyzeCriticalSections(
   const pfg::Graph& graph = comp.graph();
 
   for (const mutex::MutexBody& b : comp.mutexes().bodies()) {
-    if (!b.wellFormed) continue;
     BodyReport br;
     br.body = b.id;
     br.lockVar = b.lockVar;
-    b.members.forEach([&](std::size_t nodeIdx) {
-      const pfg::Node& n =
-          graph.node(NodeId{static_cast<NodeId::value_type>(nodeIdx)});
-      if (n.kind != pfg::NodeKind::Block) return;
+    for (NodeId id : b.members) {
+      const pfg::Node& n = graph.node(id);
+      if (n.kind != pfg::NodeKind::Block) continue;
       for (const ir::Stmt* s : n.stmts) {
         ++br.interiorStmts;
         if (independence.isLockIndependent(*s)) ++br.lockIndependent;
@@ -26,7 +24,7 @@ CriticalSectionReport analyzeCriticalSections(
       // Branch statements count as interior work too (their condition
       // evaluates under the lock) but are never individually movable.
       if (n.terminator != nullptr) ++br.interiorStmts;
-    });
+    }
     report.totalInterior += br.interiorStmts;
     report.totalIndependent += br.lockIndependent;
     report.bodies.push_back(br);

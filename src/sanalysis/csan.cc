@@ -11,26 +11,6 @@ namespace cssame::sanalysis {
 
 namespace {
 
-/// The access record a conflict-edge endpoint refers to, looked up in the
-/// compilation's cached (alias-class-keyed) access sites.
-const analysis::AccessSites::Def* defRecordAt(
-    NodeId node, SymbolId cls, const analysis::AccessSites& sites) {
-  auto it = sites.defs.find(cls);
-  if (it != sites.defs.end())
-    for (const auto& d : it->second)
-      if (d.node == node) return &d;
-  return nullptr;
-}
-
-const analysis::AccessSites::Use* useRecordAt(
-    NodeId node, SymbolId cls, const analysis::AccessSites& sites) {
-  auto it = sites.uses.find(cls);
-  if (it != sites.uses.end())
-    for (const auto& u : it->second)
-      if (u.node == node) return &u;
-  return nullptr;
-}
-
 SourceLoc locOf(const ir::Stmt* stmt) {
   return stmt != nullptr ? stmt->loc : SourceLoc{};
 }
@@ -83,7 +63,7 @@ class Csan {
     s.node = node;
     s.isWrite = isDef;
     if (isDef) {
-      if (const auto* d = defRecordAt(node, cls, comp_.sites())) {
+      if (const auto* d = comp_.sites().defAt(node, cls)) {
         s.stmt = d->stmt;
         s.viaDeref = d->viaDeref;
         s.accessedSym = d->accessedSym;
@@ -91,7 +71,7 @@ class Csan {
           s.indexExpr = d->stmt->lhsAddr.get();
       }
     } else {
-      if (const auto* u = useRecordAt(node, cls, comp_.sites())) {
+      if (const auto* u = comp_.sites().useAt(node, cls)) {
         s.stmt = u->stmt;
         s.ref = u->ref;
         s.viaDeref = u->viaDeref;
@@ -132,9 +112,11 @@ class Csan {
     std::set<std::tuple<SymbolId, NodeId, NodeId>> seen;
     for (const pfg::ConflictEdge& e : graph_.conflicts) {
       if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
+      if (!locksetsDisjoint(locksetAt(e.from, structures_),
+                            locksetAt(e.to, structures_)))
+        continue;
       const RaceSite def = makeSite(e.from, e.var, true);
       const RaceSite other = makeSite(e.to, e.var, e.toIsDef);
-      if (!locksetsDisjoint(def.lockset, other.lockset)) continue;
       // Two *direct* accesses naming different members of one alias class
       // never touch the same cell — the class pairs them only because a
       // pointer elsewhere may touch both. No race between these two.
@@ -216,17 +198,17 @@ class Csan {
         }
       if (!concurrent) continue;
 
-      std::vector<std::set<SymbolId>> locksets;
+      std::vector<const std::set<SymbolId>*> locksets;
       locksets.reserve(defs.size());
       for (const auto& d : defs)
-        locksets.push_back(locksetAt(d.node, structures_));
-      std::set<SymbolId> intersection = locksets.front();
+        locksets.push_back(&locksetAt(d.node, structures_));
+      std::set<SymbolId> intersection = *locksets.front();
       bool anyProtected = false;
-      for (const auto& ls : locksets) {
-        anyProtected |= !ls.empty();
+      for (const std::set<SymbolId>* ls : locksets) {
+        anyProtected |= !ls->empty();
         std::set<SymbolId> tmp;
         std::set_intersection(intersection.begin(), intersection.end(),
-                              ls.begin(), ls.end(),
+                              ls->begin(), ls->end(),
                               std::inserter(tmp, tmp.begin()));
         intersection = std::move(tmp);
       }
@@ -239,7 +221,7 @@ class Csan {
               "' are not consistently protected by the same lock");
       for (std::size_t i = 0; i < defs.size(); ++i)
         d.note(defs[i].stmt->loc,
-               "write under lockset " + locksetStr(locksets[i], syms_));
+               "write under lockset " + locksetStr(*locksets[i], syms_));
     }
   }
 
@@ -287,7 +269,6 @@ class Csan {
   void checkMutexBodies() {
     const opt::LockIndependence independence(comp_);
     for (const mutex::MutexBody& b : structures_.bodies()) {
-      if (!b.wellFormed) continue;
       const pfg::Node& lockNode = graph_.node(b.lockNode);
       const SourceLoc lockLoc = lockNode.syncStmt->loc;
       const std::string lockName = syms_.nameOf(b.lockVar);
@@ -296,9 +277,8 @@ class Csan {
       std::vector<const pfg::Node*> blocks;
       bool straightLine = true;
       std::size_t interiorStmts = 0;
-      b.members.forEach([&](std::size_t idx) {
-        const NodeId id{static_cast<NodeId::value_type>(idx)};
-        if (id == b.unlockNode) return;
+      for (NodeId id : b.members) {
+        if (id == b.unlockNode) continue;
         const pfg::Node& n = graph_.node(id);
         if (n.kind == pfg::NodeKind::Block) {
           blocks.push_back(&n);
@@ -311,7 +291,7 @@ class Csan {
           straightLine = false;  // nested sync/cobegin/barrier
           ++interiorStmts;
         }
-      });
+      }
 
       if (interiorStmts == 0) {
         ++report_.emptyBodies;
@@ -371,12 +351,12 @@ class Csan {
     for (SsaNameId piId : ssa.livePis()) {
       const ssa::Definition& pi = ssa.def(piId);
       if (pi.piConflictArgs.empty()) continue;
-      const std::set<SymbolId> useLs = locksetAt(pi.node, structures_);
+      const std::set<SymbolId>& useLs = locksetAt(pi.node, structures_);
       bool warned = false;
       for (const ssa::PiConflictArg& arg : pi.piConflictArgs) {
         if (!comp_.mhp().mayHappenInParallel(arg.fromNode, pi.node))
           continue;
-        const std::set<SymbolId> defLs =
+        const std::set<SymbolId>& defLs =
             locksetAt(arg.fromNode, structures_);
         if (!locksetsDisjoint(useLs, defLs)) continue;
         if (!warned) {

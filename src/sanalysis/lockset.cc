@@ -2,14 +2,6 @@
 
 namespace cssame::sanalysis {
 
-std::set<SymbolId> locksetAt(NodeId node,
-                             const mutex::MutexStructures& structures) {
-  std::set<SymbolId> out;
-  for (MutexBodyId id : structures.bodiesContaining(node))
-    out.insert(structures.body(id).lockVar);
-  return out;
-}
-
 bool locksetsDisjoint(const std::set<SymbolId>& a,
                       const std::set<SymbolId>& b) {
   for (SymbolId x : a)

@@ -27,9 +27,11 @@
 namespace cssame::sanalysis {
 
 /// Locks whose well-formed mutex bodies contain `node` (the node's
-/// lockset for race checking).
-[[nodiscard]] std::set<SymbolId> locksetAt(
-    NodeId node, const mutex::MutexStructures& structures);
+/// lockset for race checking), as memoized by the mutex structures.
+[[nodiscard]] inline const std::set<SymbolId>& locksetAt(
+    NodeId node, const mutex::MutexStructures& structures) {
+  return structures.locksetAt(node);
+}
 
 [[nodiscard]] bool locksetsDisjoint(const std::set<SymbolId>& a,
                                     const std::set<SymbolId>& b);
