@@ -3,7 +3,7 @@
 // Usage:
 //   cssamec [options] <file.cp> [more files...]
 //
-// Options:
+// Options (the analysis ones are the rows of src/driver/options.h):
 //   --dump-pfg        print the Parallel Flow Graph as Graphviz DOT
 //   --dump-form       print the CSSA/CSSAME form (like the paper's Fig. 3)
 //   --no-cssame       stop at plain CSSA (skip the π rewriting)
@@ -19,24 +19,21 @@
 //                     site targets, pointer-holding cells, solver stats)
 //   --explore         exhaustively enumerate every schedule (bounded) and
 //                     print the output set plus deadlock / lock-error /
-//                     assertion verdicts; honors --memory-model
+//                     assertion verdicts
 //   --no-dpor         disable dynamic partial-order reduction during
-//                     --explore (the unreduced sweep — slower, identical
-//                     verdicts; the equality oracle for the reduction)
-//   --fix[=TARGET]    synthesize and print a *verified* repair for the
-//                     analyses' findings: lock insertions for races,
-//                     fences/atomic upgrades for TSO violations, fence
-//                     deletions for FenceRedundant. TARGET is all
-//                     (default), race, may-alias, tso, fence, or the
-//                     corresponding diagnostic code name. Every returned
-//                     patch re-passed csan/tso and the schedule explorer
-//                     (docs/REPAIR.md); exit 1 when some finding has no
-//                     safe fix
-//   --memory-model=M  memory model for --run: sc (default) or tso (plain
-//                     stores buffer per thread and flush asynchronously)
+//                     --explore (the unreduced sweep: slower, identical
+//                     verdicts)
+//   --fix[=TARGET]    synthesize and print a verified repair for the
+//                     analyses' findings; TARGET is all (default), race,
+//                     may-alias, tso, fence, or a diagnostic code name;
+//                     exit 1 when some finding has no safe fix
+//   --memory-model=M  memory model for --run and --explore: sc (default)
+//                     or tso (plain stores buffer per thread and flush
+//                     asynchronously)
 //   --sarif[=FILE]    emit all diagnostics as SARIF 2.1.0 (implies --csan);
 //                     FILE defaults to stdout
-//   --json[=FILE]     emit all diagnostics as compact JSON (implies --csan)
+//   --json[=FILE]     emit all diagnostics as compact JSON (implies --csan);
+//                     FILE defaults to stdout
 //   --jobs=N          analyze the input files on N threads (0 = one per
 //                     hardware thread); output stays in input order
 //   --connect=SOCK    send the files to a running cssamed at Unix socket
@@ -75,10 +72,11 @@
 #include <thread>
 #include <vector>
 
+#include "src/driver/options.h"
 #include "src/driver/runner.h"
-#include "src/repair/candidates.h"
 #include "src/service/json.h"
 #include "src/service/protocol.h"
+#include "src/service/request_options.h"
 #include "src/support/io.h"
 #include "src/support/threadpool.h"
 #include "src/support/version.h"
@@ -101,16 +99,52 @@ std::atomic<bool> gInterrupted{false};
 
 void onSignal(int) { gInterrupted.store(true, std::memory_order_relaxed); }
 
+/// The option-table rows (file-writing ones last), then the process ones.
 void usage() {
+  // The value syntax of each OptionKind, in declaration order.
+  constexpr const char* kSyntax[] = {"",          " [seed]", "[=FILE]",
+                                     "[=TARGET]", "=sc|tso", ""};
+  std::string line = "usage: cssamec";
+  for (const bool outputs : {false, true})
+    for (const driver::OptionRow& row : driver::kOptionTable)
+      if (!row.cli.empty() &&
+          (row.kind == driver::OptionKind::Output) == outputs)
+        line += " [" + std::string(row.cli) +
+                kSyntax[static_cast<int>(row.kind)] + "]";
   std::fprintf(stderr,
-               "usage: cssamec [--dump-pfg] [--dump-form] [--no-cssame] "
-               "[--opt] [--run [seed]] [--races] [--stats] [--csan] "
-               "[--vrange] [--tso] [--points-to] [--explore] [--no-dpor] "
-               "[--fix[=TARGET]] [--memory-model=sc|tso] "
-               "[--sarif[=FILE]] [--json[=FILE]] [--jobs=N] "
-               "[--connect=SOCK] [--timeout-ms=N] [--version] "
-               "<file> [more files...]\n");
+               "%s [--jobs=N] [--connect=SOCK] [--timeout-ms=N] "
+               "[--version] <file> [more files...]\n",
+               line.c_str());
   std::exit(2);
+}
+
+/// Applies argv[i] if it spells an option-table row (and --run's seed);
+/// false when no row matches. An unknown fix target or model exits 2.
+bool parseTableOption(int argc, char** argv, int& i, driver::RunOptions& o) {
+  using driver::OptionKind;
+  const std::string_view arg = argv[i];
+  for (const driver::OptionRow& row : driver::kOptionTable) {
+    if (row.cli.empty() || !arg.starts_with(row.cli)) continue;
+    const std::string_view rest = arg.substr(row.cli.size());
+    // `--x` alone suits every kind but Model; `--x=V` only valued kinds.
+    if (rest.empty() ? row.kind == OptionKind::Model
+                     : rest[0] != '=' || row.kind == OptionKind::Flag ||
+                           row.kind == OptionKind::Run)
+      continue;
+    if (row.flag) o.*row.flag = !(driver::RunOptions{}.*row.flag);
+    if (row.kind == OptionKind::Output) o.doCsan = true;
+    if (!rest.empty() && !driver::setOptionText(row, rest.substr(1), o)) {
+      std::fprintf(
+          stderr, "cssamec: %s\n",
+          driver::unknownValueMessage(row, rest.substr(1), "").c_str());
+      std::exit(2);
+    }
+    if (row.kind == OptionKind::Run && i + 1 < argc &&
+        std::isdigit(static_cast<unsigned char>(argv[i + 1][0])))
+      o.seed = std::strtoull(argv[++i], nullptr, 10);
+    return true;
+  }
+  return false;
 }
 
 /// Reads one input file; returns false (with a message in `err`) when it
@@ -268,41 +302,6 @@ std::string fleetHealthReport(support::FdStream& conn,
   return report;
 }
 
-/// Builds the analyze request for one file from the CLI options — the
-/// daemon decodes this back into the identical driver::RunOptions.
-service::Json buildRequest(const std::string& file,
-                           const std::string& source,
-                           const driver::RunOptions& o, std::size_t id) {
-  service::Json options = service::Json::object();
-  options.set("dumpPfg", o.dumpPfg)
-      .set("dumpForm", o.dumpForm)
-      .set("cssame", o.cssame)
-      .set("opt", o.doOpt)
-      .set("run", o.doRun)
-      .set("races", o.doRaces)
-      .set("stats", o.doStats)
-      .set("csan", o.doCsan)
-      .set("sarif", o.doSarif)
-      .set("json", o.doJson)
-      .set("vrange", o.doVrange)
-      .set("tso", o.doTso)
-      .set("pointsTo", o.doPointsTo)
-      .set("explore", o.doExplore)
-      .set("dpor", o.dpor)
-      .set("memoryModel", support::memoryModelName(o.memoryModel))
-      .set("seed", o.seed);
-  // Only present when requested: older daemons reject unknown keys, and
-  // an absent key keeps pre-fix requests byte-identical.
-  if (o.doFix) options.set("fix", o.fixTarget);
-  service::Json request = service::Json::object();
-  request.set("id", id)
-      .set("method", "analyze")
-      .set("file", file)
-      .set("source", source)
-      .set("options", std::move(options));
-  return request;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,60 +313,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--version") == 0) {
       std::printf("%s\n", support::versionLine("cssamec").c_str());
       return 0;
-    } else if (std::strcmp(arg, "--dump-pfg") == 0) o.run.dumpPfg = true;
-    else if (std::strcmp(arg, "--dump-form") == 0) o.run.dumpForm = true;
-    else if (std::strcmp(arg, "--no-cssame") == 0) o.run.cssame = false;
-    else if (std::strcmp(arg, "--opt") == 0) o.run.doOpt = true;
-    else if (std::strcmp(arg, "--races") == 0) o.run.doRaces = true;
-    else if (std::strcmp(arg, "--stats") == 0) o.run.doStats = true;
-    else if (std::strcmp(arg, "--csan") == 0) o.run.doCsan = true;
-    else if (std::strcmp(arg, "--vrange") == 0) o.run.doVrange = true;
-    else if (std::strcmp(arg, "--tso") == 0) o.run.doTso = true;
-    else if (std::strcmp(arg, "--points-to") == 0) o.run.doPointsTo = true;
-    else if (std::strcmp(arg, "--explore") == 0) o.run.doExplore = true;
-    else if (std::strcmp(arg, "--no-dpor") == 0) o.run.dpor = false;
-    else if (std::strncmp(arg, "--fix", 5) == 0 &&
-             (arg[5] == '\0' || arg[5] == '=')) {
-      o.run.doFix = true;
-      if (arg[5] == '=') {
-        repair::FixTarget target;
-        if (!repair::parseFixTarget(arg + 6, target)) {
-          std::fprintf(stderr,
-                       "cssamec: unknown fix target '%s' (all, race, "
-                       "may-alias, tso, fence, or a diagnostic code "
-                       "name)\n",
-                       arg + 6);
-          return 2;
-        }
-        o.run.fixTarget = repair::fixTargetName(target);
-      }
-    }
-    else if (std::strncmp(arg, "--memory-model=", 15) == 0) {
-      if (!support::parseMemoryModel(arg + 15, o.run.memoryModel)) {
-        std::fprintf(stderr,
-                     "cssamec: unknown memory model '%s' (sc or tso)\n",
-                     arg + 15);
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--sarif", 7) == 0 &&
-             (arg[7] == '\0' || arg[7] == '=')) {
-      o.run.doSarif = o.run.doCsan = true;
-      if (arg[7] == '=') o.run.sarifPath = arg + 8;
-    } else if (std::strncmp(arg, "--json", 6) == 0 &&
-               (arg[6] == '\0' || arg[6] == '=')) {
-      o.run.doJson = o.run.doCsan = true;
-      if (arg[6] == '=') o.run.jsonPath = arg + 7;
+    } else if (parseTableOption(argc, argv, i, o.run)) {
+      continue;
     } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
       o.jobs = static_cast<unsigned>(std::strtoul(arg + 7, nullptr, 10));
     } else if (std::strncmp(arg, "--connect=", 10) == 0) {
       o.connectPath = arg + 10;
     } else if (std::strncmp(arg, "--timeout-ms=", 13) == 0) {
       o.timeoutMs = static_cast<int>(std::strtol(arg + 13, nullptr, 10));
-    } else if (std::strcmp(arg, "--run") == 0) {
-      o.run.doRun = true;
-      if (i + 1 < argc && std::isdigit(static_cast<unsigned char>(
-                              argv[i + 1][0])))
-        o.run.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (arg[0] == '-') {
       usage();
     } else {
@@ -419,9 +372,17 @@ int main(int argc, char** argv) {
         ran[i] = true;
         continue;
       }
-      codes[i] = processRemoteWithRetry(
-          buildRequest(files[i], source, o.run, i), *conn, o.connectPath,
-          service::kDefaultMaxPayload, o.timeoutMs, outs[i], errs[i]);
+      // The daemon decodes the options back into the identical
+      // driver::RunOptions.
+      service::Json request = service::Json::object();
+      request.set("id", i)
+          .set("method", "analyze")
+          .set("file", files[i])
+          .set("source", source)
+          .set("options", service::encodeRunOptions(o.run));
+      codes[i] = processRemoteWithRetry(request, *conn, o.connectPath,
+                                        service::kDefaultMaxPayload,
+                                        o.timeoutMs, outs[i], errs[i]);
       ran[i] = true;
     }
     if (o.run.doStats && conn->valid() &&

@@ -355,35 +355,6 @@ RunOutput runSourceUnguarded(std::string_view source,
 
 }  // namespace
 
-std::string RunOptions::cacheKey() const {
-  // One char per flag in declaration order, then the seed. Bump the "v1"
-  // tag if the rendering ever changes meaning — the key is persisted
-  // inside disk-cache addresses.
-  std::string key = "v5:";
-  for (bool b : {dumpPfg, dumpForm, cssame, doOpt, doRun, doRaces, doStats,
-                 doCsan, doSarif, doJson, doVrange, doTso, doPointsTo,
-                 doExplore, dpor, doFix})
-    key += b ? '1' : '0';
-  // The fix target selects which findings the repair engine attacks;
-  // keyed unconditionally (like the memory model) so a `fix` response
-  // can never collide with a read-method response or with a fix for a
-  // different target — the v5 bump makes every pre-repair cached key
-  // cold rather than ambiguous.
-  key += ":fix=";
-  key += fixTarget;
-  // The memory model changes --run output and may grow new model-aware
-  // modes; keying it unconditionally guarantees the service never serves
-  // an SC-cached response to a TSO request (or vice versa).
-  key += ":mm=";
-  key += support::memoryModelName(memoryModel);
-  key += ":seed=" + std::to_string(seed);
-  // File-writing modes are not cacheable request shapes; the service
-  // rejects them, but keep the paths in the key so equal keys always
-  // mean equal behavior.
-  key += ":sarif=" + sarifPath + ":json=" + jsonPath;
-  return key;
-}
-
 RunOutput runCompiled(const ir::Program& prog, const Compilation& c,
                       const std::string& preErr,
                       const std::string& fileName, const RunOptions& opts) {

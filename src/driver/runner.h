@@ -26,56 +26,45 @@ class Program;
 namespace cssame::driver {
 
 /// The cssamec per-file option set (everything except --jobs/--connect,
-/// which shape the process, not one analysis).
+/// which shape the process, not one analysis): one row each of
+/// kOptionTable (src/driver/options.h).
 struct RunOptions {
-  bool dumpPfg = false;   ///< --dump-pfg
-  bool dumpForm = false;  ///< --dump-form
-  bool cssame = true;     ///< !--no-cssame
-  bool doOpt = false;     ///< --opt
-  bool doRun = false;     ///< --run
-  bool doRaces = false;   ///< --races
-  bool doStats = false;   ///< --stats
-  bool doCsan = false;    ///< --csan
-  bool doSarif = false;   ///< --sarif (implies csan)
-  bool doJson = false;    ///< --json (implies csan)
-  bool doVrange = false;  ///< --vrange
-  bool doTso = false;     ///< --tso
-  bool doPointsTo = false;  ///< --points-to
-  /// --explore: exhaustively enumerate every schedule (bounded) and print
-  /// the output set plus the deadlock / lock-error / assert verdicts.
-  /// Read-only with respect to the program (the explorer forks machine
-  /// copies), so it is cacheable and valid on the runCompiled fast path.
+  bool dumpPfg = false;
+  bool dumpForm = false;
+  bool cssame = true;
+  bool doOpt = false;
+  bool doRun = false;
+  bool doRaces = false;
+  bool doStats = false;
+  bool doCsan = false;
+  bool doSarif = false;  ///< implies csan
+  bool doJson = false;   ///< implies csan
+  bool doVrange = false;
+  bool doTso = false;
+  bool doPointsTo = false;
+  /// Read-only (the explorer forks machine copies), so it is cacheable
+  /// and valid on the runCompiled fast path.
   bool doExplore = false;
-  /// !--no-dpor: dynamic partial-order reduction for --explore. On by
-  /// default; off is the equality oracle (the unreduced sweep). Keyed in
-  /// cacheKey() because it changes the stats lines --explore prints.
   bool dpor = true;
-  /// --fix[=TARGET]: run the synchronization repair engine
-  /// (src/repair/repair.h) after the analyses and print the verified
-  /// patched program plus a line diff. Mutates nothing in place (the
-  /// patched text is part of the output), but re-parses and re-explores
-  /// candidate programs, so like --opt/--run it is excluded from the
-  /// runCompiled fast path.
+  /// Prints the verified patched program plus a line diff. Re-parses and
+  /// re-explores candidate programs, so like --opt/--run it is excluded
+  /// from the runCompiled fast path.
   bool doFix = false;
-  /// Canonical target name for --fix ("all", "race", "may-alias", "tso",
-  /// "fence"); callers validate via repair::parseFixTarget before setting.
+  /// Canonical target name ("all", "race", "may-alias", "tso", "fence").
   std::string fixTarget = "all";
-  /// --memory-model=sc|tso: the model --run simulates. SC (default)
-  /// preserves every pre-TSO seeded schedule bit-identically; TSO adds
+  /// SC preserves every pre-TSO seeded schedule bit-identically; TSO adds
   /// per-thread store buffers (buffered stores flush as separate
   /// scheduler actions).
   support::MemoryModel memoryModel = support::MemoryModel::SC;
   /// Output files for --sarif=FILE/--json=FILE; empty = the buffered
-  /// stdout stream. The service only ever uses the streamed form (a
-  /// daemon writing client-named files would not be a cache-friendly
-  /// pure function).
+  /// stdout stream, the only form the service uses.
   std::string sarifPath, jsonPath;
-  std::uint64_t seed = 1;  ///< --run seed
+  std::uint64_t seed = 1;
 
   /// Canonical, stable rendering of every field that affects the output
-  /// bytes — the options part of the service's cache key. Two option
-  /// sets with equal cacheKey() produce identical results for identical
-  /// sources.
+  /// bytes — the options part of the service's cache key, generated from
+  /// kOptionTable. Two option sets with equal cacheKey() produce
+  /// identical results for identical sources.
   [[nodiscard]] std::string cacheKey() const;
 };
 

@@ -256,7 +256,7 @@ class Explorer {
       for (std::size_t i = 0; i < slots_.size(); ++i) {
         Slot& s = slots_[i];
         if (s.kind != Slot::Normal) continue;
-        if (support::ShardedVisited::shardOf(s.hash) % tasks != t) continue;
+        if (support::ShardedVisitedMap::shardOf(s.hash) % tasks != t) continue;
         if (opts_.dpor && s.dporOk) {
           const auto r = visited_.insertOrMerge(s.hash, s.sleepIn, s.pMask);
           s.fresh = r.fresh;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -76,8 +77,12 @@ class Json {
   [[nodiscard]] bool isObject() const { return kind_ == Kind::Object; }
 
   [[nodiscard]] bool boolValue() const { return bool_; }
+  /// Doubles truncate, saturating at the int64 range (NaN reads as 0).
   [[nodiscard]] std::int64_t intValue() const {
-    return kind_ == Kind::Double ? static_cast<std::int64_t>(double_) : int_;
+    if (kind_ != Kind::Double) return int_;
+    if (double_ >= 0x1p63) return std::numeric_limits<std::int64_t>::max();
+    if (double_ < -0x1p63) return std::numeric_limits<std::int64_t>::min();
+    return double_ == double_ ? static_cast<std::int64_t>(double_) : 0;
   }
   [[nodiscard]] double doubleValue() const {
     return kind_ == Kind::Double ? double_ : static_cast<double>(int_);

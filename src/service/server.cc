@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <future>
 #include <set>
 
@@ -12,11 +11,10 @@
 #include "src/interp/explore.h"
 #include "src/parser/parser.h"
 #include "src/repair/repair.h"
+#include "src/service/request_options.h"
 #include "src/support/version.h"
 
 namespace cssame::service {
-
-namespace {
 
 Json errorEnvelope(const Json& id, const std::string& kind,
                    const std::string& stage, const std::string& message) {
@@ -27,67 +25,11 @@ Json errorEnvelope(const Json& id, const std::string& kind,
   return env;
 }
 
-/// Decodes the per-request option object into the runner's option set.
-/// Unknown keys are ignored (forward compatibility); file-writing output
-/// paths are deliberately not decodable — a daemon writing client-named
-/// files would not be a pure function of the request. Known keys with
-/// invalid *values* are rejected: an unknown memory model silently
-/// downgraded to SC would cache (and serve) answers for a question the
-/// client never asked. On failure returns false with a message in `err`.
-bool decodeOptions(const Json& options, driver::RunOptions& o,
-                   std::string& err) {
-  o.dumpPfg = options.getBool("dumpPfg", false);
-  o.dumpForm = options.getBool("dumpForm", false);
-  o.cssame = options.getBool("cssame", true);
-  o.doOpt = options.getBool("opt", false);
-  o.doRun = options.getBool("run", false);
-  o.doRaces = options.getBool("races", false);
-  o.doStats = options.getBool("stats", false);
-  o.doCsan = options.getBool("csan", false);
-  o.doSarif = options.getBool("sarif", false);
-  o.doJson = options.getBool("json", false);
-  o.doVrange = options.getBool("vrange", false);
-  o.doTso = options.getBool("tso", false);
-  o.doPointsTo = options.getBool("pointsTo", false);
-  o.doExplore = options.getBool("explore", false);
-  o.dpor = options.getBool("dpor", true);
-  const std::string model = options.getString("memoryModel", "sc");
-  if (!support::parseMemoryModel(model, o.memoryModel)) {
-    err = "unknown memory model '" + model + "' (expected sc or tso)";
-    return false;
-  }
-  o.seed = static_cast<std::uint64_t>(options.getInt("seed", 1));
-  // The fix target mirrors the memory-model strictness: a present key
-  // must be a string naming a known target — an unknown target silently
-  // downgraded to "all" would cache a repair the client never asked for.
-  const Json& fixValue = options.get("fix");
-  if (!fixValue.isNull()) {
-    if (!fixValue.isString()) {
-      err = "option 'fix' must be a string fix target";
-      return false;
-    }
-    repair::FixTarget target;
-    if (!repair::parseFixTarget(fixValue.stringValue(), target)) {
-      err = "unknown fix target '" + fixValue.stringValue() +
-            "' (expected all, race, may-alias, tso, fence, or a "
-            "diagnostic code name)";
-      return false;
-    }
-    o.doFix = true;
-    o.fixTarget = repair::fixTargetName(target);
-  }
-  // Mirror the CLI: --sarif/--json imply --csan.
-  if (o.doSarif || o.doJson) o.doCsan = true;
-  return true;
+Json okEnvelope(const Json& id, const std::string& method) {
+  Json env = Json::object();
+  env.set("id", id).set("ok", true).set("method", method);
+  return env;
 }
-
-Json resultToJson(const driver::RunOutput& out) {
-  Json result = Json::object();
-  result.set("out", out.out).set("err", out.err).set("code", out.code);
-  return result;
-}
-
-}  // namespace
 
 Server::Server(ServerOptions opts)
     : opts_(opts),
@@ -128,6 +70,21 @@ void Server::requestShutdown() {
   }
 }
 
+// The cached methods: runCached plus a compute step each. The forced
+// option keys the method's analysis even when the options leave it off.
+const Server::Method Server::kMethods[] = {
+    {"analyze", &ServiceCounters::methodAnalyze, nullptr, false,
+     &Server::computeRun},
+    {"csan", &ServiceCounters::methodCsan, &driver::RunOptions::doCsan, false,
+     &Server::computeRun},
+    {"vrange", &ServiceCounters::methodVrange, &driver::RunOptions::doVrange,
+     false, &Server::computeRun},
+    {"explore", &ServiceCounters::methodExplore,
+     &driver::RunOptions::doExplore, true, &Server::computeExplore},
+    {"fix", &ServiceCounters::methodFix, &driver::RunOptions::doFix, false,
+     &Server::computeFix},
+};
+
 Json Server::statsJson() {
   const CacheCounters& cc = cache_.counters();
   Json cacheJson = Json::object();
@@ -145,12 +102,9 @@ Json Server::statsJson() {
       .set("diskDegraded", cache_.disk().degraded.value())
       .set("diskEnabled", cache_.disk().enabled());
   Json methods = Json::object();
-  methods.set("analyze", counters_.methodAnalyze.value())
-      .set("csan", counters_.methodCsan.value())
-      .set("vrange", counters_.methodVrange.value())
-      .set("explore", counters_.methodExplore.value())
-      .set("fix", counters_.methodFix.value())
-      .set("stats", counters_.methodStats.value());
+  for (const Method& m : kMethods)
+    methods.set(m.name, (counters_.*m.counter).value());
+  methods.set("stats", counters_.methodStats.value());
   Json dporJson = Json::object();
   dporJson.set("statesPruned", counters_.dporStatesPruned.value())
       .set("sleepSetHits", counters_.dporSleepHits.value())
@@ -177,32 +131,38 @@ Json Server::statsJson() {
   return stats;
 }
 
-Json Server::runAnalysisMethod(const std::string& method,
-                               const Json& request) {
+struct Server::Request {
+  const std::string& source;
+  std::string fileName;
+  driver::RunOptions run;
+  interp::ExploreOptions explore;
+};
+
+Json Server::runCached(const Method& m, const Json& request) {
+  const Json& id = request.get("id");
   const Json& sourceValue = request.get("source");
   if (!sourceValue.isString())
-    return errorEnvelope(request.get("id"), "invalid-request", method,
+    return errorEnvelope(id, "invalid-request", m.name,
                          "missing string field 'source'");
-  const std::string& source = sourceValue.stringValue();
-  const std::string fileName = request.getString("file", "<service>");
-
-  driver::RunOptions o;
-  if (std::string optErr;
-      !decodeOptions(request.get("options"), o, optErr))
-    return errorEnvelope(request.get("id"), "invalid-request", method,
-                         optErr);
-  if (method == "csan") o.doCsan = true;
-  if (method == "vrange") o.doVrange = true;
+  Request r{sourceValue.stringValue(), request.getString("file", "<service>"),
+            {}, {}};
+  const Json& options = request.get("options");
+  std::string optErr, exploreKey;
+  if (!decodeRunOptions(options, r.run, optErr) ||
+      (m.exploreBudgets &&
+       !decodeExploreOptions(options, r.explore, exploreKey, optErr)))
+    return errorEnvelope(id, "invalid-request", m.name, optErr);
+  if (m.forced) r.run.*m.forced = true;
 
   // The request's content address: any byte of the build, the method,
   // the canonical options, the presentation file name (it appears in
   // SARIF/JSON artifact URIs) or the source changes the key.
   support::Fingerprinter fp;
   fp.mixBytes(support::buildFingerprint());
-  fp.mixBytes(method);
-  fp.mixBytes(o.cacheKey());
-  fp.mixBytes(fileName);
-  fp.mixBytes(source);
+  fp.mixBytes(m.name);
+  fp.mixBytes(r.run.cacheKey() + exploreKey);
+  fp.mixBytes(r.fileName);
+  fp.mixBytes(r.source);
   const support::Hash128 requestKey = fp.digest();
 
   CacheTier tier = CacheTier::Miss;
@@ -212,320 +172,198 @@ Json Server::runAnalysisMethod(const std::string& method,
   if (cached) {
     resultPayload = *cached;
   } else {
-    // Read-only requests can reuse (and populate) the live-Compilation
-    // tier; --opt/--run/--fix mutate, execute or repair the program and
-    // always take the self-contained path.
-    driver::RunOutput out;
-    bool produced = false;
-    if (!o.doOpt && !o.doRun && !o.doFix) {
-      support::Fingerprinter sfp;
-      sfp.mixBytes(source);
-      sfp.mix(o.cssame ? 1 : 0);
-      const support::Hash128 sourceKey = sfp.digest();
-      std::shared_ptr<AnalyzedProgram> ap =
-          cache_.lookupCompilation(sourceKey);
-      if (ap) {
-        tier = CacheTier::Compilation;
-        cache_.counters().compilationHits.inc();
-      } else {
-        parser::ParseResult pr = parser::parseChecked(source);
-        if (pr.ok()) {
-          try {
-            ap = std::make_shared<AnalyzedProgram>(
-                std::move(pr.program),
-                driver::PipelineOptions{.enableCssame = o.cssame});
-            for (const auto& d : pr.diag.diagnostics())
-              ap->preErr += d.str() + "\n";
-            cache_.storeCompilation(sourceKey, ap);
-          } catch (const InvariantError&) {
-            ap = nullptr;  // degrade to the self-contained path
-          }
-        }
-      }
-      if (ap) {
-        out = driver::runCompiled(*ap->program, ap->compilation, ap->preErr,
-                                  fileName, o);
-        produced = true;
-      }
-    }
-    if (!produced) out = driver::runSource(source, fileName, o);
+    Expected<Json> computed = (this->*m.compute)(r, tier);
     if (tier == CacheTier::Miss) cache_.counters().misses.inc();
-    resultPayload = resultToJson(out).write();
+    if (!computed)
+      return errorEnvelope(id,
+                           computed.fault().kind == FaultKind::ParseError
+                               ? "parse-error"
+                               : "internal",
+                           m.name, computed.fault().message);
+    resultPayload = computed->write();
     cache_.storeResponse(requestKey,
                          std::make_shared<const std::string>(resultPayload));
   }
 
   Expected<Json> result = parseJson(resultPayload);
   if (!result)
-    return errorEnvelope(request.get("id"), "internal", method,
+    return errorEnvelope(id, "internal", m.name,
                          "cached result payload unreadable: " +
                              result.fault().message);
-  Json env = Json::object();
-  env.set("id", request.get("id"))
-      .set("ok", true)
-      .set("method", method)
-      .set("cached", cacheTierName(tier))
-      .set("result", std::move(*result));
+  Json env = okEnvelope(id, m.name);
+  env.set("cached", cacheTierName(tier)).set("result", std::move(*result));
   return env;
 }
 
-Json Server::runExplore(const Json& request) {
-  const Json& sourceValue = request.get("source");
-  if (!sourceValue.isString())
-    return errorEnvelope(request.get("id"), "invalid-request", "explore",
-                         "missing string field 'source'");
-  const std::string& source = sourceValue.stringValue();
-  const Json& options = request.get("options");
-
-  interp::ExploreOptions eo;
-  const interp::ExploreOptions defaults;
-  // Budgets are clamped to the library defaults: a client cannot demand
-  // an exploration bigger than the daemon would run for itself.
-  eo.maxSteps = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(options.getInt(
-          "maxSteps", static_cast<std::int64_t>(1u << 16))),
-      defaults.maxSteps);
-  eo.maxStates = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(options.getInt(
-          "maxStates", static_cast<std::int64_t>(1u << 16))),
-      defaults.maxStates);
-  eo.maxDepthPerRun = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(options.getInt("maxDepth", 1024)),
-      defaults.maxDepthPerRun);
-  eo.maxMemoryBytes = std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(
-          options.getInt("maxMemoryBytes", 64 << 20)),
-      defaults.maxMemoryBytes);
-  eo.detectRaces = options.getBool("detectRaces", false);
-  eo.recordValues = options.getBool("recordValues", false);
-  eo.dpor = options.getBool("dpor", true);
-
-  support::Fingerprinter fp;
-  fp.mixBytes(support::buildFingerprint());
-  fp.mixBytes("explore");
-  fp.mix(eo.maxSteps);
-  fp.mix(eo.maxStates);
-  fp.mix(eo.maxDepthPerRun);
-  fp.mix(eo.maxMemoryBytes);
-  // The dpor bit is keyed even though the contract fields match either
-  // way: the reduction counters in the result differ, and equal keys
-  // must always mean byte-equal cached payloads.
-  fp.mix((eo.detectRaces ? 1u : 0u) | (eo.recordValues ? 2u : 0u) |
-         (eo.dpor ? 4u : 0u));
-  fp.mixBytes(source);
-  const support::Hash128 requestKey = fp.digest();
-
-  CacheTier tier = CacheTier::Miss;
-  std::shared_ptr<const std::string> cached =
-      cache_.lookupResponse(requestKey, tier);
-  std::string resultPayload;
-  if (cached) {
-    resultPayload = *cached;
-  } else {
-    cache_.counters().misses.inc();
-    parser::ParseResult pr = parser::parseChecked(source);
-    if (!pr.ok())
-      return errorEnvelope(request.get("id"), "parse-error", "explore",
-                           pr.status().fault().message);
-    interp::ExploreResult res;
-    try {
-      res = interp::exploreAllSchedules(pr.program, eo);
-    } catch (const InvariantError& e) {
-      return errorEnvelope(request.get("id"), "internal", "explore",
-                           e.what());
+Expected<Json> Server::computeRun(const Request& r, CacheTier& tier) {
+  const driver::RunOptions& o = r.run;
+  // Read-only requests can reuse (and populate) the live-Compilation
+  // tier; --opt/--run/--fix mutate, execute or repair the program and
+  // always take the self-contained path.
+  std::shared_ptr<AnalyzedProgram> ap;
+  if (!o.doOpt && !o.doRun && !o.doFix) {
+    support::Fingerprinter sfp;
+    sfp.mixBytes(r.source);
+    sfp.mix(o.cssame ? 1 : 0);
+    const support::Hash128 sourceKey = sfp.digest();
+    ap = cache_.lookupCompilation(sourceKey);
+    if (ap) {
+      tier = CacheTier::Compilation;
+      cache_.counters().compilationHits.inc();
+    } else if (parser::ParseResult pr = parser::parseChecked(r.source);
+               pr.ok()) {
+      try {
+        ap = std::make_shared<AnalyzedProgram>(
+            std::move(pr.program),
+            driver::PipelineOptions{.enableCssame = o.cssame});
+        for (const auto& d : pr.diag.diagnostics())
+          ap->preErr += d.str() + "\n";
+        cache_.storeCompilation(sourceKey, ap);
+      } catch (const InvariantError&) {
+        ap = nullptr;  // degrade to the self-contained path
+      }
     }
-    // Aggregate reduction counters feed the `stats` method — the fleet
-    // gateway sums them across workers to see how much pruning buys.
-    counters_.dporStatesPruned.inc(res.dpor.prunedSuccessors);
-    counters_.dporSleepHits.inc(res.dpor.sleepSetHits);
-    counters_.dporDepQueries.inc(res.dpor.depQueries);
-    Json outputs = Json::array();
-    for (const std::vector<long long>& seq : res.outputs) {
-      Json one = Json::array();
-      for (long long v : seq) one.push(static_cast<std::int64_t>(v));
-      outputs.push(std::move(one));
-    }
-    Json raced = Json::array();
-    for (SymbolId sym : res.racedVars)
-      raced.push(pr.program.symbols.nameOf(sym));
-    Json ranges = Json::object();
-    for (const auto& [sym, range] : res.observedRanges) {
-      Json pair = Json::array();
-      pair.push(static_cast<std::int64_t>(range.first))
-          .push(static_cast<std::int64_t>(range.second));
-      ranges.set(pr.program.symbols.nameOf(sym), std::move(pair));
-    }
-    Json result = Json::object();
-    result.set("complete", res.complete)
-        .set("budgetExceeded",
-             support::budgetKindName(res.budgetExceeded))
-        .set("statesExplored", res.statesExplored)
-        .set("anyDeadlock", res.anyDeadlock)
-        .set("anyLockError", res.anyLockError)
-        .set("anyAssertFailure", res.anyAssertFailure)
-        .set("outputs", std::move(outputs))
-        .set("racedVars", std::move(raced))
-        .set("observedRanges", std::move(ranges));
-    Json dpor = Json::object();
-    dpor.set("enabled", eo.dpor)
-        .set("prunedSuccessors", res.dpor.prunedSuccessors)
-        .set("sleepSetHits", res.dpor.sleepSetHits)
-        .set("depQueries", res.dpor.depQueries)
-        .set("partialReexpansions", res.dpor.partialReexpansions);
-    result.set("dpor", std::move(dpor))
-        .set("peakFrontierBytes", res.peakFrontierBytes);
-    resultPayload = result.write();
-    cache_.storeResponse(requestKey,
-                         std::make_shared<const std::string>(resultPayload));
   }
-
-  Expected<Json> result = parseJson(resultPayload);
-  if (!result)
-    return errorEnvelope(request.get("id"), "internal", "explore",
-                         "cached result payload unreadable: " +
-                             result.fault().message);
-  Json env = Json::object();
-  env.set("id", request.get("id"))
-      .set("ok", true)
-      .set("method", "explore")
-      .set("cached", cacheTierName(tier))
-      .set("result", std::move(*result));
-  return env;
+  const driver::RunOutput out =
+      ap ? driver::runCompiled(*ap->program, ap->compilation, ap->preErr,
+                               r.fileName, o)
+         : driver::runSource(r.source, r.fileName, o);
+  Json result = Json::object();
+  result.set("out", out.out).set("err", out.err).set("code", out.code);
+  return result;
 }
 
-Json Server::runFix(const Json& request) {
-  const Json& sourceValue = request.get("source");
-  if (!sourceValue.isString())
-    return errorEnvelope(request.get("id"), "invalid-request", "fix",
-                         "missing string field 'source'");
-  const std::string& source = sourceValue.stringValue();
-  const std::string fileName = request.getString("file", "<service>");
+Expected<Json> Server::computeExplore(const Request& r, CacheTier&) {
+  parser::ParseResult pr = parser::parseChecked(r.source);
+  if (!pr.ok()) return pr.status().fault();
+  interp::ExploreOptions eo = r.explore;
+  eo.dpor = r.run.dpor;
+  interp::ExploreResult res;
+  try {
+    res = interp::exploreAllSchedules(pr.program, eo);
+  } catch (const InvariantError& e) {
+    return Fault{FaultKind::InvariantViolation, "explore", e.what(), {}};
+  }
+  // Aggregate reduction counters feed the `stats` method — the fleet
+  // gateway sums them across workers to see how much pruning buys.
+  counters_.dporStatesPruned.inc(res.dpor.prunedSuccessors);
+  counters_.dporSleepHits.inc(res.dpor.sleepSetHits);
+  counters_.dporDepQueries.inc(res.dpor.depQueries);
+  Json outputs = Json::array();
+  for (const std::vector<long long>& seq : res.outputs) {
+    Json one = Json::array();
+    for (long long v : seq) one.push(static_cast<std::int64_t>(v));
+    outputs.push(std::move(one));
+  }
+  Json raced = Json::array();
+  for (SymbolId sym : res.racedVars)
+    raced.push(pr.program.symbols.nameOf(sym));
+  Json ranges = Json::object();
+  for (const auto& [sym, range] : res.observedRanges) {
+    Json pair = Json::array();
+    pair.push(static_cast<std::int64_t>(range.first))
+        .push(static_cast<std::int64_t>(range.second));
+    ranges.set(pr.program.symbols.nameOf(sym), std::move(pair));
+  }
+  Json result = Json::object();
+  result.set("complete", res.complete)
+      .set("budgetExceeded", support::budgetKindName(res.budgetExceeded))
+      .set("statesExplored", res.statesExplored)
+      .set("anyDeadlock", res.anyDeadlock)
+      .set("anyLockError", res.anyLockError)
+      .set("anyAssertFailure", res.anyAssertFailure)
+      .set("outputs", std::move(outputs))
+      .set("racedVars", std::move(raced))
+      .set("observedRanges", std::move(ranges));
+  Json dpor = Json::object();
+  dpor.set("enabled", eo.dpor)
+      .set("prunedSuccessors", res.dpor.prunedSuccessors)
+      .set("sleepSetHits", res.dpor.sleepSetHits)
+      .set("depQueries", res.dpor.depQueries)
+      .set("partialReexpansions", res.dpor.partialReexpansions);
+  result.set("dpor", std::move(dpor))
+      .set("peakFrontierBytes", res.peakFrontierBytes);
+  return result;
+}
 
-  // Full option decoding (not just the fix key): the strict memoryModel
-  // and fix-target validation apply to this method too, and the decoded
-  // set feeds cacheKey() so a fix response's address reflects every
-  // option the client sent.
-  driver::RunOptions o;
-  if (std::string optErr;
-      !decodeOptions(request.get("options"), o, optErr))
-    return errorEnvelope(request.get("id"), "invalid-request", "fix",
-                         optErr);
-  o.doFix = true;  // the method implies it when options omit the key
+Expected<Json> Server::computeFix(const Request& r, CacheTier&) {
   repair::FixTarget target = repair::FixTarget::All;
-  (void)repair::parseFixTarget(o.fixTarget, target);
-
-  support::Fingerprinter fp;
-  fp.mixBytes(support::buildFingerprint());
-  fp.mixBytes("fix");
-  fp.mixBytes(o.cacheKey());
-  fp.mixBytes(fileName);
-  fp.mixBytes(source);
-  const support::Hash128 requestKey = fp.digest();
-
-  CacheTier tier = CacheTier::Miss;
-  std::shared_ptr<const std::string> cached =
-      cache_.lookupResponse(requestKey, tier);
-  std::string resultPayload;
-  if (cached) {
-    resultPayload = *cached;
-  } else {
-    cache_.counters().misses.inc();
-    repair::RepairResult res;
-    try {
-      res = repair::repairSource(source, target);
-    } catch (const std::exception& e) {
-      return errorEnvelope(request.get("id"), "internal", "fix", e.what());
-    }
-    if (res.status == repair::RepairStatus::Error)
-      return errorEnvelope(request.get("id"), "parse-error", "fix",
-                           res.error);
-    // Counters accumulate on genuine runs only — a cache hit repeats a
-    // result, not the work (same policy as the explore dpor counters).
-    counters_.repairTargets.inc(res.stats.targets);
-    counters_.repairTried.inc(res.stats.candidatesTried);
-    counters_.repairVerified.inc(res.stats.candidatesVerified);
-    counters_.repairRejected.inc(res.stats.candidatesRejected);
-    counters_.repairUnverifiable.inc(res.stats.unverifiable);
-    counters_.repairFreshLocks.inc(res.stats.freshLockFallbacks);
-
-    Json applied = Json::array();
-    for (const repair::AppliedFix& f : res.applied) {
-      Json one = Json::object();
-      one.set("target", f.target)
-          .set("candidate", f.candidate)
-          .set("candidateIndex",
-               static_cast<std::int64_t>(f.candidateIndex))
-          .set("candidateCount",
-               static_cast<std::int64_t>(f.candidateCount));
-      applied.push(std::move(one));
-    }
-    Json unfixed = Json::array();
-    for (const repair::UnfixedTarget& u : res.unfixed) {
-      Json one = Json::object();
-      one.set("target", u.target)
-          .set("reason", u.reason)
-          .set("candidatesTried",
-               static_cast<std::int64_t>(u.candidatesTried));
-      unfixed.push(std::move(one));
-    }
-    Json diff = Json::array();
-    for (const repair::DiffLine& d : res.diff) {
-      Json one = Json::object();
-      one.set("op", std::string(1, d.op))
-          .set("line", static_cast<std::int64_t>(d.op == '-' ? d.oldLine
-                                                             : d.newLine))
-          .set("text", d.text);
-      diff.push(std::move(one));
-    }
-    Json stats = Json::object();
-    stats.set("targets", static_cast<std::int64_t>(res.stats.targets))
-        .set("candidatesTried",
-             static_cast<std::int64_t>(res.stats.candidatesTried))
-        .set("candidatesVerified",
-             static_cast<std::int64_t>(res.stats.candidatesVerified))
-        .set("candidatesRejected",
-             static_cast<std::int64_t>(res.stats.candidatesRejected))
-        .set("unverifiable",
-             static_cast<std::int64_t>(res.stats.unverifiable))
-        .set("freshLockFallbacks",
-             static_cast<std::int64_t>(res.stats.freshLockFallbacks))
-        .set("iterations",
-             static_cast<std::int64_t>(res.stats.iterations));
-    const bool failed = res.status == repair::RepairStatus::Partial ||
-                        res.status == repair::RepairStatus::NoSafeFix;
-    Json result = Json::object();
-    result.set("status", repair::repairStatusName(res.status))
-        .set("applied", std::move(applied))
-        .set("unfixed", std::move(unfixed))
-        .set("patchedSource", res.patchedSource)
-        .set("diff", std::move(diff))
-        .set("raceFree", res.finalRaceFree)
-        .set("deadlockFree", res.finalDeadlockFree)
-        .set("exploreComplete", res.finalExploreComplete)
-        .set("tsoChecked", res.finalTsoChecked)
-        .set("tsoJustified", res.finalTsoJustified)
-        // The exact bytes `cssamec --fix` prints for this source, so
-        // clients can render the human report without re-deriving it.
-        .set("report", repair::renderFixReport(res, target))
-        .set("stats", std::move(stats))
-        .set("code", failed ? 1 : 0);
-    resultPayload = result.write();
-    cache_.storeResponse(requestKey,
-                         std::make_shared<const std::string>(resultPayload));
+  (void)repair::parseFixTarget(r.run.fixTarget, target);
+  repair::RepairResult res;
+  try {
+    res = repair::repairSource(r.source, target);
+  } catch (const std::exception& e) {
+    return Fault{FaultKind::InvariantViolation, "fix", e.what(), {}};
   }
+  if (res.status == repair::RepairStatus::Error)
+    return Fault{FaultKind::ParseError, "fix", res.error, {}};
+  // Counters accumulate on genuine runs only — a cache hit repeats a
+  // result, not the work (same policy as the explore dpor counters).
+  counters_.repairTargets.inc(res.stats.targets);
+  counters_.repairTried.inc(res.stats.candidatesTried);
+  counters_.repairVerified.inc(res.stats.candidatesVerified);
+  counters_.repairRejected.inc(res.stats.candidatesRejected);
+  counters_.repairUnverifiable.inc(res.stats.unverifiable);
+  counters_.repairFreshLocks.inc(res.stats.freshLockFallbacks);
 
-  Expected<Json> result = parseJson(resultPayload);
-  if (!result)
-    return errorEnvelope(request.get("id"), "internal", "fix",
-                         "cached result payload unreadable: " +
-                             result.fault().message);
-  Json env = Json::object();
-  env.set("id", request.get("id"))
-      .set("ok", true)
-      .set("method", "fix")
-      .set("cached", cacheTierName(tier))
-      .set("result", std::move(*result));
-  return env;
+  Json applied = Json::array();
+  for (const repair::AppliedFix& f : res.applied) {
+    Json one = Json::object();
+    one.set("target", f.target)
+        .set("candidate", f.candidate)
+        .set("candidateIndex", static_cast<std::int64_t>(f.candidateIndex))
+        .set("candidateCount", static_cast<std::int64_t>(f.candidateCount));
+    applied.push(std::move(one));
+  }
+  Json unfixed = Json::array();
+  for (const repair::UnfixedTarget& u : res.unfixed) {
+    Json one = Json::object();
+    one.set("target", u.target)
+        .set("reason", u.reason)
+        .set("candidatesTried",
+             static_cast<std::int64_t>(u.candidatesTried));
+    unfixed.push(std::move(one));
+  }
+  Json diff = Json::array();
+  for (const repair::DiffLine& d : res.diff) {
+    Json one = Json::object();
+    one.set("op", std::string(1, d.op))
+        .set("line", static_cast<std::int64_t>(d.op == '-' ? d.oldLine
+                                                           : d.newLine))
+        .set("text", d.text);
+    diff.push(std::move(one));
+  }
+  Json stats = Json::object();
+  stats.set("targets", static_cast<std::int64_t>(res.stats.targets))
+      .set("candidatesTried",
+           static_cast<std::int64_t>(res.stats.candidatesTried))
+      .set("candidatesVerified",
+           static_cast<std::int64_t>(res.stats.candidatesVerified))
+      .set("candidatesRejected",
+           static_cast<std::int64_t>(res.stats.candidatesRejected))
+      .set("unverifiable", static_cast<std::int64_t>(res.stats.unverifiable))
+      .set("freshLockFallbacks",
+           static_cast<std::int64_t>(res.stats.freshLockFallbacks))
+      .set("iterations", static_cast<std::int64_t>(res.stats.iterations));
+  const bool failed = res.status == repair::RepairStatus::Partial ||
+                      res.status == repair::RepairStatus::NoSafeFix;
+  Json result = Json::object();
+  result.set("status", repair::repairStatusName(res.status))
+      .set("applied", std::move(applied))
+      .set("unfixed", std::move(unfixed))
+      .set("patchedSource", res.patchedSource)
+      .set("diff", std::move(diff))
+      .set("raceFree", res.finalRaceFree)
+      .set("deadlockFree", res.finalDeadlockFree)
+      .set("exploreComplete", res.finalExploreComplete)
+      .set("tsoChecked", res.finalTsoChecked)
+      .set("tsoJustified", res.finalTsoJustified)
+      // The exact bytes `cssamec --fix` prints for this source, so
+      // clients can render the human report without re-deriving it.
+      .set("report", repair::renderFixReport(res, target))
+      .set("stats", std::move(stats))
+      .set("code", failed ? 1 : 0);
+  return result;
 }
 
 Json Server::handleRequest(const Json& request) {
@@ -533,38 +371,21 @@ Json Server::handleRequest(const Json& request) {
     return errorEnvelope(Json(), "invalid-request", "router",
                          "request is not a JSON object");
   const std::string method = request.getString("method", "");
-  if (method == "analyze" || method == "csan" || method == "vrange") {
-    (method == "analyze"   ? counters_.methodAnalyze
-     : method == "csan"    ? counters_.methodCsan
-                           : counters_.methodVrange)
-        .inc();
-    return runAnalysisMethod(method, request);
-  }
-  if (method == "explore") {
-    counters_.methodExplore.inc();
-    return runExplore(request);
-  }
-  if (method == "fix") {
-    counters_.methodFix.inc();
-    return runFix(request);
+  for (const Method& m : kMethods) {
+    if (method != m.name) continue;
+    (counters_.*m.counter).inc();
+    return runCached(m, request);
   }
   if (method == "stats") {
     counters_.methodStats.inc();
-    Json env = Json::object();
-    env.set("id", request.get("id"))
-        .set("ok", true)
-        .set("method", "stats")
-        .set("result", statsJson());
+    Json env = okEnvelope(request.get("id"), "stats");
+    env.set("result", statsJson());
     return env;
   }
   if (method == "shutdown") {
     counters_.shutdownRequests.inc();
     requestShutdown();
-    Json env = Json::object();
-    env.set("id", request.get("id"))
-        .set("ok", true)
-        .set("method", "shutdown");
-    return env;
+    return okEnvelope(request.get("id"), "shutdown");
   }
   return errorEnvelope(request.get("id"), "unknown-method", "router",
                        method.empty() ? "missing string field 'method'"

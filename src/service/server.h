@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/driver/runner.h"
 #include "src/service/cache.h"
 #include "src/service/json.h"
 #include "src/service/protocol.h"
@@ -77,6 +78,13 @@ struct ServiceCounters {
   support::Counter dporDepQueries;   ///< dependence tests evaluated
 };
 
+/// The response envelopes (docs/SERVICE.md), shared by the router and
+/// the fleet gateway so their replies are byte-identical.
+[[nodiscard]] Json errorEnvelope(const Json& id, const std::string& kind,
+                                 const std::string& stage,
+                                 const std::string& message);
+[[nodiscard]] Json okEnvelope(const Json& id, const std::string& method);
+
 class Server {
  public:
   explicit Server(ServerOptions opts);
@@ -123,15 +131,28 @@ class Server {
   /// duplex fd) and serveStdio (separate in/out fds).
   void serveDuplex(support::FdStream& in, support::FdStream& out);
   [[nodiscard]] Json handleRequest(const Json& request);
-  [[nodiscard]] Json runAnalysisMethod(const std::string& method,
-                                       const Json& request);
-  [[nodiscard]] Json runExplore(const Json& request);
-  /// The first *write* method: runs the synchronization repair engine
-  /// and returns the verified patched source, line diff and per-target
-  /// outcomes (docs/SERVICE.md). Cached under cacheKey v5 like any
-  /// analysis response — the doFix bit and fix target in the key keep
-  /// fix responses from ever colliding with read-method responses.
-  [[nodiscard]] Json runFix(const Json& request);
+
+  struct Request;
+  /// A row of the method table. Every cached method shares runCached
+  /// (source check, option decode, request key, tier lookup and store,
+  /// success envelope); on a response-tier miss its compute step makes
+  /// the result, reporting a compilation-tier hit through the tier.
+  struct Method {
+    const char* name;
+    support::Counter ServiceCounters::*counter;
+    bool driver::RunOptions::*forced;  ///< switched on; nullptr: none
+    bool exploreBudgets;               ///< also decode and key them
+    Expected<Json> (Server::*compute)(const Request&, CacheTier&);
+  };
+  static const Method kMethods[];
+
+  [[nodiscard]] Json runCached(const Method& m, const Json& request);
+  /// analyze/csan/vrange: the cssamec output triple (out, err, code).
+  [[nodiscard]] Expected<Json> computeRun(const Request& r, CacheTier& tier);
+  [[nodiscard]] Expected<Json> computeExplore(const Request& r, CacheTier&);
+  /// The first *write* method: the verified patched source, line diff
+  /// and per-target outcomes of the repair engine (docs/SERVICE.md).
+  [[nodiscard]] Expected<Json> computeFix(const Request& r, CacheTier&);
 
   ServerOptions opts_;
   support::ThreadPool pool_;

@@ -10,8 +10,8 @@
 // 64-bit hashes push the bound to ~2^44/2^129, i.e. below 1e-24 —
 // negligible even across millions of CI runs. See docs/ANALYSIS.md.
 //
-// ShardedVisited splits the set into 64 lock-striped shards keyed by the
-// high hash bits. The parallel explorer assigns whole shards to workers
+// ShardedVisitedMap splits the set into 64 lock-striped shards keyed by
+// the high hash bits. The parallel explorer assigns whole shards to workers
 // during its deduplication phase, so insert order *within one shard* is
 // the deterministic frontier order — the property its determinism
 // argument rests on (docs/PERFORMANCE.md); the stripes additionally make
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace cssame::support {
 
@@ -41,53 +40,6 @@ struct Hash128Hasher {
   }
 };
 
-/// Hash set of Hash128 keys, lock-striped across kShards shards.
-class ShardedVisited {
- public:
-  static constexpr std::size_t kShards = 64;
-
-  /// Shard of a key — a pure function of the fingerprint, so callers can
-  /// partition work by shard. Uses high bits disjoint from the bits the
-  /// in-shard bucket hash favors.
-  [[nodiscard]] static std::size_t shardOf(const Hash128& h) {
-    return static_cast<std::size_t>(h.hi >> 58) % kShards;
-  }
-
-  /// Inserts the key; true when it was not present before.
-  bool insert(const Hash128& h) {
-    Shard& s = shards_[shardOf(h)];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.set.insert(h).second;
-  }
-
-  [[nodiscard]] bool contains(const Hash128& h) const {
-    const Shard& s = shards_[shardOf(h)];
-    std::lock_guard<std::mutex> lock(s.mutex);
-    return s.set.contains(h);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::size_t n = 0;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      n += s.set.size();
-    }
-    return n;
-  }
-
-  /// Approximate footprint: each entry costs its key plus bucket overhead.
-  [[nodiscard]] std::uint64_t approxBytes() const {
-    return static_cast<std::uint64_t>(size()) * 2 * sizeof(Hash128);
-  }
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_set<Hash128, Hash128Hasher> set;
-  };
-  std::array<Shard, kShards> shards_;
-};
-
 /// Visited map for the DPOR-enabled explorer: each fingerprint carries
 /// the sleep mask the state was (last) expanded under. Sleep sets and
 /// state caching are unsound when combined naively — a state first
@@ -101,14 +53,22 @@ class ShardedVisited {
 /// everything outside the stored mask, and the stored mask loses every
 /// bit that `missing` returns — re-expansion terminates.
 ///
-/// The shard layout mirrors ShardedVisited (same shardOf), so the
-/// explorer's in-order per-shard dedup scan keeps merge order — and with
-/// it every `missing` mask — independent of the worker count. With the
-/// reduction off, every call passes sleep == pmask == 0 and the class
-/// degenerates to ShardedVisited::insert bit-for-bit (approxBytes uses
-/// the same formula, keeping Memory-budget trip points identical).
+/// The map is lock-striped across kShards shards keyed by high hash
+/// bits, and the explorer's in-order per-shard dedup scan keeps merge
+/// order — and with it every `missing` mask — independent of the worker
+/// count. With the reduction off, every call passes sleep == pmask == 0
+/// and the map acts as a plain visited set.
 class ShardedVisitedMap {
  public:
+  static constexpr std::size_t kShards = 64;
+
+  /// Shard of a key — a pure function of the fingerprint, so callers can
+  /// partition work by shard. Uses high bits disjoint from the bits the
+  /// in-shard bucket hash favors.
+  [[nodiscard]] static std::size_t shardOf(const Hash128& h) {
+    return static_cast<std::size_t>(h.hi >> 58) % kShards;
+  }
+
   struct MergeResult {
     bool fresh = false;          ///< key was not present before
     std::uint64_t missing = 0;   ///< action keys to re-expand (dups only)
@@ -116,7 +76,7 @@ class ShardedVisitedMap {
 
   MergeResult insertOrMerge(const Hash128& h, std::uint64_t sleep,
                             std::uint64_t pmask) {
-    Shard& s = shards_[ShardedVisited::shardOf(h)];
+    Shard& s = shards_[shardOf(h)];
     std::lock_guard<std::mutex> lock(s.mutex);
     auto [it, inserted] = s.map.try_emplace(h, sleep);
     if (inserted) return {true, 0};
@@ -143,7 +103,7 @@ class ShardedVisitedMap {
     mutable std::mutex mutex;
     std::unordered_map<Hash128, std::uint64_t, Hash128Hasher> map;
   };
-  std::array<Shard, ShardedVisited::kShards> shards_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace cssame::support

@@ -312,14 +312,25 @@ TEST(FleetChaos, KillLoopUnderLoadStaysByteIdentical) {
   for (int i = 0; i < 200; ++i) {
     if (i % 25 == 24) {
       // SIGKILL a live worker mid-stream — scan from a rotating start so
-      // both slots get their turn, skipping slots mid-restart.
-      for (unsigned probe = 0; probe < fleet.workerCount(); ++probe) {
-        const unsigned s = (i / 25 + probe) % fleet.workerCount();
-        const pid_t victim = fleet.slotPid(s);
-        if (victim > 0 && ::kill(victim, SIGKILL) == 0) {
+      // both slots get their turn. When both slots are mid-restart (a
+      // loaded machine restarts slowly), wait up to 10 s for one to come
+      // back instead of skipping the kill point.
+      for (int attempt = 0; attempt < 1000; ++attempt) {
+        bool killed = false;
+        for (unsigned probe = 0; probe < fleet.workerCount(); ++probe) {
+          const unsigned s = (i / 25 + probe) % fleet.workerCount();
+          const pid_t victim = fleet.slotPid(s);
+          if (fleet.slotState(s) == service::SlotState::Live &&
+              victim > 0 && ::kill(victim, SIGKILL) == 0) {
+            killed = true;
+            break;
+          }
+        }
+        if (killed) {
           ++kills;
           break;
         }
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
     }
     service::Json resp = parseOk(

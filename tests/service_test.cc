@@ -22,9 +22,11 @@
 #include <fstream>
 #include <thread>
 
+#include "src/driver/options.h"
 #include "src/driver/runner.h"
 #include "src/service/json.h"
 #include "src/service/protocol.h"
+#include "src/service/request_options.h"
 #include "src/service/server.h"
 #include "src/support/io.h"
 #include "src/support/version.h"
@@ -832,6 +834,114 @@ TEST(ServiceCache, FixKeysDivergeFromReadMethods) {
   EXPECT_EQ(second.getString("cached", "?"), "miss");
   // Same source, same method, narrower target: a fresh key again.
   EXPECT_EQ(third.getString("cached", "?"), "miss");
+}
+
+TEST(ServiceCache, CacheKeysArePinned) {
+  // The key strings are persisted inside disk-cache addresses: the
+  // option table must render them byte for byte as the hand-written
+  // v5 encoder did.
+  driver::RunOptions defaults;
+  EXPECT_EQ(defaults.cacheKey(),
+            "v5:0010000000000010:fix=all:mm=sc:seed=1:sarif=:json=");
+  driver::RunOptions all;
+  for (bool* b : {&all.dumpPfg, &all.dumpForm, &all.cssame, &all.doOpt,
+                  &all.doRun, &all.doRaces, &all.doStats, &all.doCsan,
+                  &all.doSarif, &all.doJson, &all.doVrange, &all.doTso,
+                  &all.doPointsTo, &all.doExplore, &all.dpor, &all.doFix})
+    *b = true;
+  EXPECT_EQ(all.cacheKey(),
+            "v5:1111111111111111:fix=all:mm=sc:seed=1:sarif=:json=");
+  driver::RunOptions fix;
+  fix.doFix = true;
+  fix.fixTarget = "race";
+  fix.memoryModel = support::MemoryModel::TSO;
+  fix.seed = 7;
+  EXPECT_EQ(fix.cacheKey(),
+            "v5:0010000000000011:fix=race:mm=tso:seed=7:sarif=:json=");
+}
+
+TEST(ServiceOptions, EncodeDecodeRoundTripsEveryRow) {
+  // What `cssamec --connect` encodes, the daemon decodes into the same
+  // option set — checked row by row through the cache key.
+  std::vector<driver::RunOptions> sets(1);
+  for (const driver::OptionRow& row : driver::kOptionTable) {
+    if (!row.flag) continue;
+    driver::RunOptions o;
+    o.*row.flag = !(o.*row.flag);
+    if (row.kind == driver::OptionKind::Output) o.doCsan = true;
+    sets.push_back(o);
+  }
+  driver::RunOptions valued;
+  valued.doFix = true;
+  valued.fixTarget = "may-alias";
+  valued.memoryModel = support::MemoryModel::TSO;
+  valued.seed = 0xfedcba9876543210ull;  // beyond the int64 range
+  sets.push_back(valued);
+  for (const driver::RunOptions& o : sets) {
+    const service::Json encoded =
+        parseOk(service::encodeRunOptions(o).write());
+    driver::RunOptions decoded;
+    std::string err;
+    ASSERT_TRUE(service::decodeRunOptions(encoded, decoded, err)) << err;
+    EXPECT_EQ(decoded.cacheKey(), o.cacheKey()) << encoded.write();
+  }
+}
+
+TEST(ServiceServer, WrongTypedOptionsAreRejected) {
+  // A known key whose value has the wrong type is an invalid request,
+  // like an unknown memory model — never silently its default.
+  service::Server server({});
+  const std::pair<const char*, const char*> cases[] = {
+      {"analyze", R"({"run":true,"memoryModel":5})"},
+      {"analyze", R"({"csan":1})"},
+      {"analyze", R"({"run":true,"seed":"7"})"},
+      {"analyze", R"({"run":true,"seed":1e300})"},
+      {"explore", R"({"maxSteps":1e300})"},
+      {"explore", R"({"detectRaces":"yes"})"},
+  };
+  for (const auto& [method, options] : cases) {
+    Expected<service::Json> parsed = service::parseJson(options);
+    ASSERT_TRUE(parsed.ok());
+    service::Json resp = parseOk(
+        server.handlePayload(makeRequest(method, kRacySource, *parsed)));
+    EXPECT_FALSE(resp.getBool("ok", true)) << options;
+    EXPECT_EQ(resp.get("error").getString("kind", "?"), "invalid-request")
+        << options;
+  }
+  // Unknown keys stay ignored.
+  service::Json resp = parseOk(server.handlePayload(makeRequest(
+      "analyze", kRacySource, service::Json::object().set("frob", 1))));
+  EXPECT_TRUE(resp.getBool("ok", false));
+}
+
+TEST(ServiceJson, OutOfRangeDoublesSaturateAsIntegers) {
+  EXPECT_EQ(service::Json(1e300).intValue(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(service::Json(-1e300).intValue(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(service::Json(-2.5).intValue(), -2);
+}
+
+TEST(ServiceCache, ExploreKeyCoversBudgetsAndFile) {
+  // Explore requests are keyed like every other method: build, method,
+  // canonical options (its budgets included), file and source.
+  service::Server server({});
+  auto explore = [&](service::Json options, const char* file) {
+    service::Json req = service::Json::object();
+    req.set("id", 1)
+        .set("method", "explore")
+        .set("file", file)
+        .set("source", kRacySource)
+        .set("options", std::move(options));
+    service::Json resp = parseOk(server.handlePayload(req.write()));
+    EXPECT_TRUE(resp.getBool("ok", false)) << resp.write();
+    return resp.getString("cached", "?");
+  };
+  EXPECT_EQ(explore(service::Json::object(), "a.cp"), "miss");
+  EXPECT_EQ(explore(service::Json::object(), "a.cp"), "memory");
+  EXPECT_EQ(explore(service::Json::object(), "b.cp"), "miss");
+  EXPECT_EQ(explore(service::Json::object().set("maxSteps", 100), "a.cp"),
+            "miss");
 }
 
 TEST(ServiceServer, VersionLineNamesToolAndBuild) {

@@ -207,37 +207,42 @@ TEST(ThreadPool, ZeroPicksDefaultAndClamps) {
   EXPECT_GE(support::ThreadPool::defaultWorkers(), 1u);
 }
 
-TEST(ShardedVisited, InsertContainsAndDuplicates) {
-  support::ShardedVisited visited;
+TEST(ShardedVisitedMap, ZeroMaskInsertsAndDuplicates) {
+  // With sleep == pmask == 0 (the reduction off) the map is a plain
+  // visited set: fresh once per key, never anything to re-expand.
+  support::ShardedVisitedMap visited;
   const support::Hash128 a{0x1234, 0x5678};
   const support::Hash128 b{0x1234, 0x9999};  // same hi, different lo
-  EXPECT_FALSE(visited.contains(a));
-  EXPECT_TRUE(visited.insert(a));
-  EXPECT_FALSE(visited.insert(a));  // duplicate
-  EXPECT_TRUE(visited.insert(b));
-  EXPECT_TRUE(visited.contains(a));
-  EXPECT_TRUE(visited.contains(b));
+  EXPECT_TRUE(visited.insertOrMerge(a, 0, 0).fresh);
+  const support::ShardedVisitedMap::MergeResult dup =
+      visited.insertOrMerge(a, 0, 0);
+  EXPECT_FALSE(dup.fresh);  // duplicate
+  EXPECT_EQ(dup.missing, 0u);
+  EXPECT_TRUE(visited.insertOrMerge(b, 0, 0).fresh);
+  EXPECT_FALSE(visited.insertOrMerge(b, 0, 0).fresh);
   EXPECT_EQ(visited.size(), 2u);
   EXPECT_EQ(visited.approxBytes(), 2u * 2 * sizeof(support::Hash128));
 }
 
-TEST(ShardedVisited, ShardOfIsStableAndInRange) {
+TEST(ShardedVisitedMap, ShardOfIsStableAndInRange) {
   for (std::uint64_t hi = 0; hi < 256; ++hi) {
     const support::Hash128 h{hi << 56, 42};
-    const std::size_t shard = support::ShardedVisited::shardOf(h);
-    EXPECT_LT(shard, support::ShardedVisited::kShards);
-    EXPECT_EQ(shard, support::ShardedVisited::shardOf(h));
+    const std::size_t shard = support::ShardedVisitedMap::shardOf(h);
+    EXPECT_LT(shard, support::ShardedVisitedMap::kShards);
+    EXPECT_EQ(shard, support::ShardedVisitedMap::shardOf(h));
   }
 }
 
-TEST(ShardedVisited, ConcurrentInsertsAllLand) {
-  support::ShardedVisited visited;
+TEST(ShardedVisitedMap, ConcurrentInsertsAllLand) {
+  support::ShardedVisitedMap visited;
   support::ThreadPool pool(4);
   constexpr std::size_t kN = 4096;
   pool.parallelFor(kN, [&](std::size_t i, unsigned) {
     // Spread hi so every shard sees traffic.
-    visited.insert(support::Hash128{static_cast<std::uint64_t>(i) << 52,
-                                    static_cast<std::uint64_t>(i)});
+    (void)visited.insertOrMerge(
+        support::Hash128{static_cast<std::uint64_t>(i) << 52,
+                         static_cast<std::uint64_t>(i)},
+        0, 0);
   });
   EXPECT_EQ(visited.size(), kN);
 }
