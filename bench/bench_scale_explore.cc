@@ -23,7 +23,8 @@
 //      states, with the contract fields (outputs, racedVars, verdict
 //      bits) exactly equal — both are hard failures.
 //
-// Results go to BENCH_scale.json. The thread-parallel speedup targets of
+// Results are merged into BENCH_scale.json (the sections other benches
+// write there are kept). The thread-parallel speedup targets of
 // parts 2 and 3 only bind when the machine has >= 4 hardware threads —
 // the JSON records that gate explicitly (speedup_target_applies), so a
 // 0.94x row measured on a 1-CPU container is not misread as a
@@ -35,7 +36,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -50,6 +50,7 @@
 #include "src/ir/expr.h"
 #include "src/parser/parser.h"
 #include "src/pfg/build.h"
+#include "src/service/json.h"
 #include "src/support/memmodel.h"
 #include "src/support/threadpool.h"
 #include "src/support/timer.h"
@@ -514,87 +515,85 @@ DporScale runDporScale(support::MemoryModel model) {
 
 // ---------------------------------------------------------------------------
 
+/// Merges this bench's sections into the BENCH_scale.json in `path`,
+/// keeping the sections other benches own (bench_scale_pipeline's
+/// "pipeline_sweep").
 void writeJson(const ConflictScale& c, const ExplorerScale& e,
                const BatchScale& b, const DporScale& dsc,
                const DporScale& dtso, unsigned hw, const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench_scale_explore: cannot write %s\n", path);
-    return;
-  }
+  using service::Json;
   // Thread-parallel speedup targets (parts 2 and 3) only bind when the
   // container actually has the cores; the gate is written into the JSON
   // so downstream dashboards never flag an ungated row as a regression.
   const bool speedupApplies = hw >= 4;
-  const char* gate = speedupApplies ? "true" : "false";
-  out << "{\n"
-      << "  \"experiment\": \"Scale-1: hot-path scaling (conflict "
-         "construction, parallel explorer, batch driver, DPOR)\",\n"
-      << "  \"hardware_threads\": " << hw << ",\n"
-      << "  \"speedup_min_hardware_threads\": 4,\n"
-      << "  \"speedup_targets_apply\": " << gate << ",\n"
-      << "  \"smoke\": " << (smokeMode() ? "true" : "false") << ",\n"
-      << "  \"conflict_construction\": {\n"
-      << "    \"workload\": \"generateRandom(threads=16, sharedVars=64, "
-         "locks=16, events)\",\n"
-      << "    \"pfg_nodes\": " << c.nodes << ",\n"
-      << "    \"conflict_edges\": " << c.edges << ",\n"
-      << "    \"reference_seconds\": " << c.refSeconds << ",\n"
-      << "    \"fast_seconds\": " << c.fastSeconds << ",\n"
-      << "    \"speedup\": " << c.speedup() << ",\n"
-      << "    \"edges_identical\": " << (c.identical ? "true" : "false")
-      << "\n  },\n"
-      << "  \"explorer\": {\n"
-      << "    \"workload\": \""
-      << (smokeMode() ? "3 threads x 3 non-commutative updates"
-                      : "4 threads x 4 non-commutative updates")
-      << "\",\n"
-      << "    \"states\": " << e.states << ",\n"
-      << "    \"workers_1_seconds\": " << e.serialSeconds << ",\n"
-      << "    \"workers_2_seconds\": " << e.twoSeconds << ",\n"
-      << "    \"workers_4_seconds\": " << e.fourSeconds << ",\n"
-      << "    \"speedup_workers_4\": " << e.speedup4() << ",\n"
-      << "    \"speedup_target\": \">= 2.5x\",\n"
-      << "    \"speedup_target_applies\": " << gate << ",\n"
-      << "    \"states_per_second_serial\": " << e.statesPerSecSerial()
-      << ",\n"
-      << "    \"states_per_second_workers_4\": " << e.statesPerSecFour()
-      << ",\n"
-      << "    \"results_identical_across_workers\": "
-      << (e.identical ? "true" : "false") << "\n  },\n"
-      << "  \"batch_driver\": {\n"
-      << "    \"programs\": " << b.programs << ",\n"
-      << "    \"jobs_1_seconds\": " << b.jobs1Seconds << ",\n"
-      << "    \"jobs_4_seconds\": " << b.jobs4Seconds << ",\n"
-      << "    \"speedup\": " << b.speedup() << ",\n"
-      << "    \"speedup_target\": \"> 1x\",\n"
-      << "    \"speedup_target_applies\": " << gate << ",\n"
-      << "    \"results_identical\": " << (b.identical ? "true" : "false")
-      << "\n  },\n"
-      << "  \"dpor_reduction\": {\n"
-      << "    \"workload\": \"4 threads x 4 statements (3 private "
-         "counters + shared non-commutative r)\",\n"
-      << "    \"target_ratio\": 10.0,\n";
-  auto model = [&](const char* name, const DporScale& d, bool last) {
-    out << "    \"" << name << "\": {\n"
-        << "      \"states_unreduced\": " << d.statesFull << ",\n"
-        << "      \"states_dpor\": " << d.statesDpor << ",\n"
-        << "      \"reduction_ratio\": " << d.ratio() << ",\n"
-        << "      \"unreduced_seconds\": " << d.fullSeconds << ",\n"
-        << "      \"dpor_seconds\": " << d.dporSeconds << ",\n"
-        << "      \"peak_frontier_bytes_unreduced\": " << d.peakFrontierFull
-        << ",\n"
-        << "      \"peak_frontier_bytes_dpor\": " << d.peakFrontierDpor
-        << ",\n"
-        << "      \"pruned_successors\": " << d.pruned << ",\n"
-        << "      \"dep_queries\": " << d.depQueries << ",\n"
-        << "      \"results_exact\": " << (d.exact ? "true" : "false")
-        << "\n    }" << (last ? "\n" : ",\n");
+  auto u64 = [](std::uint64_t v) { return Json(v); };
+  Json conflict = Json::object();
+  conflict
+      .set("workload",
+           "generateRandom(threads=16, sharedVars=64, locks=16, events)")
+      .set("pfg_nodes", u64(c.nodes))
+      .set("conflict_edges", u64(c.edges))
+      .set("reference_seconds", c.refSeconds)
+      .set("fast_seconds", c.fastSeconds)
+      .set("speedup", c.speedup())
+      .set("edges_identical", c.identical);
+  Json explorer = Json::object();
+  explorer
+      .set("workload", smokeMode() ? "3 threads x 3 non-commutative updates"
+                                   : "4 threads x 4 non-commutative updates")
+      .set("states", u64(e.states))
+      .set("workers_1_seconds", e.serialSeconds)
+      .set("workers_2_seconds", e.twoSeconds)
+      .set("workers_4_seconds", e.fourSeconds)
+      .set("speedup_workers_4", e.speedup4())
+      .set("speedup_target", ">= 2.5x")
+      .set("speedup_target_applies", speedupApplies)
+      .set("states_per_second_serial", e.statesPerSecSerial())
+      .set("states_per_second_workers_4", e.statesPerSecFour())
+      .set("results_identical_across_workers", e.identical);
+  Json batch = Json::object();
+  batch.set("programs", u64(b.programs))
+      .set("jobs_1_seconds", b.jobs1Seconds)
+      .set("jobs_4_seconds", b.jobs4Seconds)
+      .set("speedup", b.speedup())
+      .set("speedup_target", "> 1x")
+      .set("speedup_target_applies", speedupApplies)
+      .set("results_identical", b.identical);
+  auto model = [&](const DporScale& d) {
+    Json m = Json::object();
+    m.set("states_unreduced", u64(d.statesFull))
+        .set("states_dpor", u64(d.statesDpor))
+        .set("reduction_ratio", d.ratio())
+        .set("unreduced_seconds", d.fullSeconds)
+        .set("dpor_seconds", d.dporSeconds)
+        .set("peak_frontier_bytes_unreduced", u64(d.peakFrontierFull))
+        .set("peak_frontier_bytes_dpor", u64(d.peakFrontierDpor))
+        .set("pruned_successors", u64(d.pruned))
+        .set("dep_queries", u64(d.depQueries))
+        .set("results_exact", d.exact);
+    return m;
   };
-  model("sc", dsc, false);
-  model("tso", dtso, true);
-  out << "  }\n"
-      << "}\n";
+  Json dpor = Json::object();
+  dpor.set("workload",
+           "4 threads x 4 statements (3 private counters + shared "
+           "non-commutative r)")
+      .set("target_ratio", 10.0)
+      .set("sc", model(dsc))
+      .set("tso", model(dtso));
+  Json update = Json::object();
+  update
+      .set("experiment",
+           "Scale-1: hot-path scaling (conflict construction, parallel "
+           "explorer, batch driver, DPOR)")
+      .set("hardware_threads", static_cast<std::uint64_t>(hw))
+      .set("speedup_min_hardware_threads", 4)
+      .set("speedup_targets_apply", speedupApplies)
+      .set("smoke", smokeMode())
+      .set("conflict_construction", std::move(conflict))
+      .set("explorer", std::move(explorer))
+      .set("batch_driver", std::move(batch))
+      .set("dpor_reduction", std::move(dpor));
+  benchutil::mergeJsonFile(path, update);
 }
 
 }  // namespace

@@ -22,9 +22,6 @@
 // existing file are kept).
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <ostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -141,57 +138,6 @@ double fittedExponent(const std::vector<double>& x,
   return sxy / sxx;
 }
 
-/// Indented rendering with six significant digits per double, matching
-/// the sections bench_scale_explore writes.
-void writePretty(std::ostream& out, const service::Json& v, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent) + 2, ' ');
-  if (v.isObject() && !v.members().empty()) {
-    out << "{\n";
-    const auto& members = v.members();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      out << pad << service::Json(members[i].first).write() << ": ";
-      writePretty(out, members[i].second, indent + 2);
-      out << (i + 1 < members.size() ? ",\n" : "\n");
-    }
-    out << std::string(static_cast<std::size_t>(indent), ' ') << "}";
-  } else if (v.isArray() && !v.items().empty()) {
-    out << "[\n";
-    for (std::size_t i = 0; i < v.items().size(); ++i) {
-      out << pad;
-      writePretty(out, v.items()[i], indent + 2);
-      out << (i + 1 < v.items().size() ? ",\n" : "\n");
-    }
-    out << std::string(static_cast<std::size_t>(indent), ' ') << "]";
-  } else if (v.kind() == service::Json::Kind::Double) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", v.doubleValue());
-    out << buf;
-  } else {
-    out << v.write();
-  }
-}
-
-/// Replaces the "pipeline_sweep" member of the JSON object in `path`,
-/// keeping the other members (the file is created if missing or
-/// unreadable).
-void writeSweep(const service::Json& sweep, const char* path) {
-  service::Json merged = service::Json::object();
-  std::ifstream in(path);
-  if (in) {
-    std::stringstream text;
-    text << in.rdbuf();
-    auto parsed = service::parseJson(text.str());
-    if (parsed.ok() && parsed.value().isObject())
-      for (const auto& [key, value] : parsed.value().members())
-        if (key != "pipeline_sweep") merged.set(key, value);
-  }
-  in.close();
-  merged.set("pipeline_sweep", sweep);
-  std::ofstream out(path);
-  writePretty(out, merged, 0);
-  out << "\n";
-}
-
 /// Runs the sweep, prints its table rows and writes BENCH_scale.json.
 /// Returns false when a fitted exponent exceeds its gate.
 bool runSizeSweep() {
@@ -245,7 +191,8 @@ bool runSizeSweep() {
   sweep.set("rewrite_csan_exponent_vs_conflict_edges", laterExp);
   sweep.set("exponent_gate", kExponentGate);
   sweep.set("gates_pass", mutexOk && laterOk);
-  writeSweep(sweep, "BENCH_scale.json");
+  benchutil::mergeJsonFile(
+      "BENCH_scale.json", service::Json::object().set("pipeline_sweep", sweep));
   std::printf("  wrote BENCH_scale.json (pipeline_sweep)\n");
   return mutexOk && laterOk;
 }

@@ -1,6 +1,7 @@
 #include "src/interp/dpor.h"
 
 #include <algorithm>
+#include <array>
 
 namespace cssame::interp::dpor {
 
@@ -149,24 +150,29 @@ bool futureConflict(const Footprint& fp, const Machine::ActionFacts& f) {
 }
 
 StateSets computeStateSets(const Machine& machine,
-                           const std::vector<Machine::Action>& ready,
-                           const StaticFootprints& footprints) {
+                           std::span<const Machine::Action> ready,
+                           const StaticFootprints& footprints,
+                           Scratch& scratch, std::span<std::uint64_t> depMask) {
   StateSets out;
   const std::size_t n = machine.threadCount();
   if (n > kMaxDporThreads || ready.empty()) return out;
 
   // Dynamic facts of every enabled action, and each thread's enabled
-  // action indices.
-  std::vector<Machine::ActionFacts> facts(ready.size());
-  std::vector<std::vector<std::size_t>> enabledOf(n);
+  // actions: ready is in thread order, so they are the index range
+  // [firstOf[t], firstOf[t] + countOf[t]).
+  if (scratch.facts.size() < ready.size()) scratch.facts.resize(ready.size());
+  std::vector<Machine::ActionFacts>& facts = scratch.facts;
+  std::array<std::uint8_t, kMaxDporThreads> firstOf{};
+  std::array<std::uint8_t, kMaxDporThreads> countOf{};
   for (std::size_t i = 0; i < ready.size(); ++i) {
-    facts[i] = machine.actionFacts(ready[i]);
-    enabledOf[ready[i].thread].push_back(i);
+    machine.actionFacts(ready[i], facts[i]);
+    const std::size_t t = ready[i].thread;
+    if (countOf[t]++ == 0) firstOf[t] = static_cast<std::uint8_t>(i);
     out.enabledMask |= actionKeyBit(ready[i]);
   }
 
   // Whole-body footprints of the alive threads.
-  std::vector<const Footprint*> fp(n, nullptr);
+  std::array<const Footprint*, kMaxDporThreads> fp{};
   for (std::size_t t = 0; t < n; ++t) {
     if (machine.statusOf(t) == Machine::Status::Done) continue;
     fp[t] = footprints.of(machine.rootListOf(t));
@@ -179,13 +185,14 @@ StateSets computeStateSets(const Machine& machine,
   // Already-in-Q members make the recursion idempotent, so a cycle of
   // mutually blocked threads (a real deadlock) terminates as satisfied:
   // permanently disabled operations need no enabler.
-  std::vector<char> inQ(n, 0);
-  std::vector<std::size_t> work;
+  std::array<char, kMaxDporThreads> inQ{};
+  std::array<std::size_t, kMaxDporThreads> work;  // each thread enters once
+  std::size_t workLen = 0;
   auto push = [&](std::size_t t) {
     if (t >= n || inQ[t] != 0) return;
     if (machine.statusOf(t) == Machine::Status::Done) return;
     inQ[t] = 1;
-    work.push_back(t);
+    work[workLen++] = t;
   };
   auto coverBlocked = [&](std::size_t t) {
     switch (machine.statusOf(t)) {
@@ -242,10 +249,9 @@ StateSets computeStateSets(const Machine& machine,
   push(ready[0].thread);
   for (bool changed = true; changed;) {
     // Drain the worklist: blocked members contribute their enablers.
-    while (!work.empty()) {
-      const std::size_t t = work.back();
-      work.pop_back();
-      if (enabledOf[t].empty()) coverBlocked(t);
+    while (workLen != 0) {
+      const std::size_t t = work[--workLen];
+      if (countOf[t] == 0) coverBlocked(t);
     }
     // Pull in every outside thread whose future may conflict with an
     // enabled action of the closure.
@@ -254,7 +260,7 @@ StateSets computeStateSets(const Machine& machine,
       if (inQ[u] != 0 || fp[u] == nullptr) continue;
       for (std::size_t t = 0; t < n && !changed; ++t) {
         if (inQ[t] == 0) continue;
-        for (std::size_t i : enabledOf[t]) {
+        for (std::size_t i = firstOf[t]; i < firstOf[t] + countOf[t]; ++i) {
           ++out.depQueries;
           if (futureConflict(*fp[u], facts[i])) {
             push(u);
@@ -270,7 +276,7 @@ StateSets computeStateSets(const Machine& machine,
     if (inQ[ready[i].thread] != 0) out.pMask |= actionKeyBit(ready[i]);
 
   // Pairwise dependence masks for the sleep-set layer.
-  out.depMask.assign(ready.size(), 0);
+  std::fill(depMask.begin(), depMask.end(), 0);
   for (std::size_t i = 0; i < ready.size(); ++i) {
     for (std::size_t j = i + 1; j < ready.size(); ++j) {
       bool dep = ready[i].thread == ready[j].thread;
@@ -279,8 +285,8 @@ StateSets computeStateSets(const Machine& machine,
         dep = dependent(facts[i], facts[j]);
       }
       if (dep) {
-        out.depMask[i] |= actionKeyBit(ready[j]);
-        out.depMask[j] |= actionKeyBit(ready[i]);
+        depMask[i] |= actionKeyBit(ready[j]);
+        depMask[j] |= actionKeyBit(ready[i]);
       }
     }
   }

@@ -41,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -102,11 +103,13 @@ struct StateSets {
   bool ok = false;
   std::uint64_t enabledMask = 0;  ///< key bits of all enabled actions
   std::uint64_t pMask = 0;        ///< key bits of the persistent set
-  /// Per enabled action (parallel to the ready list): key bits of the
-  /// other enabled actions it is dependent with (its own thread's other
-  /// action included — same-thread actions never commute).
-  std::vector<std::uint64_t> depMask;
   std::uint64_t depQueries = 0;  ///< dependence/conflict tests performed
+};
+
+/// Working storage for computeStateSets, owned by one worker and reused
+/// across calls, so a steady-state call allocates nothing.
+struct Scratch {
+  std::vector<Machine::ActionFacts> facts;  ///< per enabled action
 };
 
 /// True when the two enabled actions (facts resolved in the same state)
@@ -120,9 +123,14 @@ struct StateSets {
                                   const Machine::ActionFacts& f);
 
 /// Computes the persistent set and dependence masks for one state.
-/// `ready` must be machine.readyActions() (non-empty).
+/// `ready` must be machine.readyActions() (non-empty). When the result is
+/// ok, `depMask` (parallel to `ready`) receives, per enabled action, the
+/// key bits of the other enabled actions it is dependent with — its own
+/// thread's other action included, since same-thread actions never
+/// commute.
 [[nodiscard]] StateSets computeStateSets(
-    const Machine& machine, const std::vector<Machine::Action>& ready,
-    const StaticFootprints& footprints);
+    const Machine& machine, std::span<const Machine::Action> ready,
+    const StaticFootprints& footprints, Scratch& scratch,
+    std::span<std::uint64_t> depMask);
 
 }  // namespace cssame::interp::dpor

@@ -39,7 +39,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,29 +52,34 @@ namespace cssame::interp {
 
 namespace {
 
-bool holdCommonLock(const std::vector<SymbolId>& a,
-                    const std::vector<SymbolId>& b) {
-  for (SymbolId x : a)
-    for (SymbolId y : b)
-      if (x == y) return true;
-  return false;
-}
-
-/// Per-worker accumulator. Races and value ranges land here during the
-/// parallel classify phase and are folded into the result at the layer
-/// boundary; both folds are commutative, so the merge order (and hence
-/// the worker count) cannot affect the result.
+/// Per-worker accumulator and scratch. Races and value ranges land here
+/// during the parallel classify phase and are folded into the result at
+/// the layer boundary; both folds are commutative, so the merge order
+/// (and hence the worker count) cannot affect the result. The scratch
+/// vectors keep their capacity from layer to layer, so classifying a
+/// state allocates nothing once they have grown.
 struct Partial {
   std::set<SymbolId> racedVars;
   std::map<SymbolId, std::pair<long long, long long>> observedRanges;
   std::uint64_t depQueries = 0;  ///< DPOR dependence tests (summed)
+  /// This layer's ready lists of the states this worker classified,
+  /// concatenated (Slot::readyOff indexes it), and under DPOR their
+  /// dependence masks, index for index.
+  std::vector<Machine::Action> ready;
+  std::vector<std::uint64_t> depMask;
+  std::vector<Machine::PendingAccess> acc;  ///< race oracle, per action
+  dpor::Scratch dpor;
 };
 
 class Explorer {
  public:
   Explorer(const ir::Program& prog, const ExploreOptions& opts,
            support::ThreadPool& pool)
-      : prog_(prog), opts_(opts), pool_(pool), partials_(pool.workers()) {
+      : prog_(prog),
+        opts_(opts),
+        pool_(pool),
+        layout_(prog, opts.model),
+        partials_(pool.workers()) {
     if (opts_.recordValues) {
       for (const ir::Symbol& s : prog_.symbols.all())
         if (s.kind == ir::SymbolKind::Var) sampledVars_.push_back(s.id);
@@ -83,8 +88,8 @@ class Explorer {
   }
 
   ExploreResult run() {
-    frontier_.emplace_back(Machine(prog_, opts_.model));
-    frontierBytes_ = frontier_.front()->approxBytes();
+    frontier_.emplace_back(layout_);
+    frontierBytes_ = frontier_.front().approxBytes();
     result_.peakFrontierBytes = frontierBytes_;
     if (opts_.dpor) sleepIn_.assign(1, 0);
     std::uint64_t depth = 0;
@@ -140,41 +145,35 @@ class Explorer {
     }
   }
 
-  /// Two runnable threads with conflicting pending accesses and no common
-  /// lock held: their next steps can execute in either order from this
-  /// very state, so the conflict is a concrete (not merely may-happen)
-  /// race witness.
+  /// Two runnable threads with conflicting pending accesses: their next
+  /// steps can execute in either order from this very state, so the
+  /// conflict is a concrete (not merely may-happen) race witness. (Lock
+  /// ownership is exclusive, so two co-enabled threads never both hold a
+  /// common lock.)
   void recordRaces(const Machine& machine,
-                   const std::vector<Machine::Action>& actions, Partial& p) {
+                   std::span<const Machine::Action> actions, Partial& p) {
     // Only program steps of runnable threads carry pending statements;
-    // TSO flush actions commit already-recorded stores and are skipped
-    // (under SC every action is a program step, so this filter is the
-    // identity and the recorded races match the pre-TSO explorer).
-    std::vector<std::size_t> ready;
-    for (const Machine::Action& a : actions)
-      if (!a.flush) ready.push_back(a.thread);
+    // TSO flush actions commit already-recorded stores and are skipped.
     // Accesses are matched by dynamically resolved memory cell (the
     // machine evaluates pointer and index addresses in the thread's own
     // view), then attributed to the owning symbol.
-    std::vector<Machine::PendingAccess> acc(ready.size());
-    for (std::size_t i = 0; i < ready.size(); ++i)
-      acc[i] = machine.pendingAccesses(ready[i]);
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      for (std::size_t j = i + 1; j < ready.size(); ++j) {
-        if (holdCommonLock(machine.heldLocksOf(ready[i]),
-                           machine.heldLocksOf(ready[j])))
-          continue;
-        auto conflict = [&](const Machine::PendingAccess& w,
-                            const Machine::PendingAccess& r) {
-          for (const auto& [cell, sym] : w.writes) {
-            for (const auto& [c2, s2] : r.writes)
-              if (c2 == cell) p.racedVars.insert(sym);
-            for (const auto& [c2, s2] : r.reads)
-              if (c2 == cell) p.racedVars.insert(sym);
-          }
-        };
-        conflict(acc[i], acc[j]);
-        conflict(acc[j], acc[i]);
+    if (p.acc.size() < actions.size()) p.acc.resize(actions.size());
+    std::size_t n = 0;
+    for (const Machine::Action& a : actions)
+      if (!a.flush) machine.pendingAccesses(a.thread, p.acc[n++]);
+    auto conflict = [&](const Machine::PendingAccess& w,
+                        const Machine::PendingAccess& r) {
+      for (const auto& [cell, sym] : w.writes) {
+        for (const auto& [c2, s2] : r.writes)
+          if (c2 == cell) p.racedVars.insert(sym);
+        for (const auto& [c2, s2] : r.reads)
+          if (c2 == cell) p.racedVars.insert(sym);
+      }
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        conflict(p.acc[i], p.acc[j]);
+        conflict(p.acc[j], p.acc[i]);
       }
     }
   }
@@ -185,9 +184,14 @@ class Explorer {
   /// depth check, then terminal classification.
   void classifyLayer(bool atDepthCap) {
     slots_.assign(frontier_.size(), Slot{});
+    for (Partial& p : partials_) {
+      p.ready.clear();
+      p.depMask.clear();
+    }
     pool_.parallelFor(frontier_.size(), [&](std::size_t i, unsigned w) {
-      const Machine& m = *frontier_[i];
-      if (opts_.recordValues) sample(m, partials_[w]);
+      const Machine& m = frontier_[i];
+      Partial& p = partials_[w];
+      if (opts_.recordValues) sample(m, p);
       if (atDepthCap) return;
       Slot& s = slots_[i];
       s.hash = m.stateHash128();
@@ -195,24 +199,29 @@ class Explorer {
         s.kind = Slot::Terminal;
         return;
       }
-      s.ready = m.readyActions();
-      if (s.ready.empty()) {
+      s.worker = w;
+      s.readyOff = p.ready.size();
+      m.readyActions(p.ready);
+      s.readyLen = p.ready.size() - s.readyOff;
+      if (s.readyLen == 0) {
         s.kind = Slot::Deadlock;
         return;
       }
+      const std::span<const Machine::Action> ready(p.ready.data() + s.readyOff,
+                                                   s.readyLen);
       // Race recording scans *all* enabled actions, before any pruning:
       // a race witness is recorded at every visited state where the
       // conflicting pair is co-enabled, slept or not.
-      if (opts_.detectRaces && s.ready.size() >= 2)
-        recordRaces(m, s.ready, partials_[w]);
+      if (opts_.detectRaces && s.readyLen >= 2) recordRaces(m, ready, p);
       if (opts_.dpor) {
-        dpor::StateSets sets =
-            dpor::computeStateSets(m, s.ready, *footprints_);
-        partials_[w].depQueries += sets.depQueries;
+        p.depMask.resize(p.ready.size());
+        const dpor::StateSets sets = dpor::computeStateSets(
+            m, ready, *footprints_, p.dpor,
+            std::span(p.depMask.data() + s.readyOff, s.readyLen));
+        p.depQueries += sets.depQueries;
         s.dporOk = sets.ok;
         if (sets.ok) {
           s.pMask = sets.pMask;
-          s.depMask = std::move(sets.depMask);
           // Sleep keys stay enabled along independent paths; clamping to
           // the enabled mask is defensive (dropping a key only explores
           // more) and keeps the masks meaningful for the merge rule.
@@ -279,17 +288,17 @@ class Explorer {
   bool recordLayer() {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       const Slot& s = slots_[i];
-      const Machine& m = *frontier_[i];
+      const Machine& m = frontier_[i];
       if (s.kind == Slot::Terminal) {
-        result_.outputs.insert(m.result().output);
-        result_.anyLockError |= m.result().lockError;
-        result_.anyAssertFailure |= m.result().assertFailed;
-        result_.anyPtrError |= m.result().ptrError;
+        result_.outputs.emplace(m.output().begin(), m.output().end());
+        result_.anyLockError |= m.lockError();
+        result_.anyAssertFailure |= m.assertFailed();
+        result_.anyPtrError |= m.ptrError();
         continue;
       }
       if (s.kind == Slot::Deadlock) {
         result_.anyDeadlock = true;
-        result_.outputs.insert(m.result().output);
+        result_.outputs.emplace(m.output().begin(), m.output().end());
         continue;
       }
       if (!s.fresh) {
@@ -303,7 +312,7 @@ class Explorer {
         result_.dpor.sleepSetHits +=
             std::popcount(s.pMask & s.sleepIn);
         result_.dpor.prunedSuccessors +=
-            s.ready.size() - std::popcount(s.expandMask);
+            s.readyLen - std::popcount(s.expandMask);
       }
       ++result_.statesExplored;
       if (result_.statesExplored > opts_.maxStates) {
@@ -332,14 +341,14 @@ class Explorer {
       Slot& s = slots_[i];
       if (s.kind != Slot::Normal) continue;
       const std::size_t count =
-          s.expandAll ? s.ready.size()
+          s.expandAll ? s.readyLen
                       : static_cast<std::size_t>(std::popcount(s.expandMask));
       if (count == 0) continue;
       s.succOffset = total;
       total += count;
       expand.push_back(i);
     }
-    std::vector<std::optional<Machine>> next(total);
+    std::vector<Machine> next(total);
     std::vector<std::uint64_t> nextSleep;
     if (opts_.dpor) nextSleep.assign(total, 0);
     if (total != 0) {
@@ -348,27 +357,29 @@ class Explorer {
       pool_.parallelFor(expand.size(), [&](std::size_t e, unsigned) {
         const std::size_t i = expand[e];
         const Slot& s = slots_[i];
-        std::vector<std::size_t> sel;  // selected ready indices, in order
-        sel.reserve(s.ready.size());
-        for (std::size_t k = 0; k < s.ready.size(); ++k)
-          if (s.expandAll ||
-              (s.expandMask & dpor::actionKeyBit(s.ready[k])) != 0)
-            sel.push_back(k);
+        const Partial& p = partials_[s.worker];
+        const Machine::Action* ready = p.ready.data() + s.readyOff;
+        auto selected = [&](std::size_t k) {
+          return s.expandAll ||
+                 (s.expandMask & dpor::actionKeyBit(ready[k])) != 0;
+        };
+        std::size_t lastK = s.readyLen - 1;
+        while (!selected(lastK)) --lastK;
         std::uint64_t acc = s.sleepIn;  // sleep ∪ actions expanded so far
-        for (std::size_t j = 0; j < sel.size(); ++j) {
+        std::size_t j = s.succOffset;
+        for (std::size_t k = 0; k <= lastK; ++k) {
+          if (!selected(k)) continue;
           if (memTripped.load(std::memory_order_relaxed)) return;
-          const std::size_t k = sel[j];
-          const bool last = j + 1 == sel.size();
           if (opts_.dpor && s.dporOk) {
-            nextSleep[s.succOffset + j] = acc & ~s.depMask[k];
-            acc |= dpor::actionKeyBit(s.ready[k]);
+            nextSleep[j] = acc & ~p.depMask[s.readyOff + k];
+            acc |= dpor::actionKeyBit(ready[k]);
           }
-          Machine succ = last ? std::move(*frontier_[i]) : *frontier_[i];
-          succ.perform(s.ready[k]);
+          Machine& succ = next[j++];
+          succ = k == lastK ? std::move(frontier_[i]) : frontier_[i];
+          succ.perform(ready[k]);
           const std::uint64_t bytes = succ.approxBytes();
           const std::uint64_t sum =
               succBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-          next[s.succOffset + j].emplace(std::move(succ));
           if (memBase_ + sum > opts_.maxMemoryBytes)
             memTripped.store(true, std::memory_order_relaxed);
         }
@@ -387,32 +398,35 @@ class Explorer {
     return true;
   }
 
+  /// Per frontier slot: what classify and dedup decided. Ready lists and
+  /// dependence masks live in the classifying worker's Partial.
   struct Slot {
     enum Kind : std::uint8_t { Normal, Terminal, Deadlock };
     support::Hash128 hash;
     Kind kind = Normal;
     bool fresh = false;
-    std::vector<Machine::Action> ready;
+    unsigned worker = 0;        ///< whose Partial holds the ready list
+    std::size_t readyOff = 0;   ///< first action in Partial::ready
+    std::size_t readyLen = 0;   ///< number of enabled actions
     std::size_t succOffset = 0;
     // DPOR per-state data (classify). dporOk falls back to full
     // expansion for states the 64-bit action-key encoding cannot cover.
     bool dporOk = false;
     std::uint64_t pMask = 0;    ///< persistent-set action keys
     std::uint64_t sleepIn = 0;  ///< inherited sleep, clamped to enabled
-    std::vector<std::uint64_t> depMask;  ///< per ready action
     // Expansion selection (dedup): either everything (unreduced path),
     // or the action keys in expandMask.
     bool expandAll = false;
     std::uint64_t expandMask = 0;
   };
-
   const ir::Program& prog_;
   const ExploreOptions& opts_;
   support::ThreadPool& pool_;
+  const MachineLayout layout_;  ///< shared by every frontier machine
   ExploreResult result_;
   std::vector<SymbolId> sampledVars_;  ///< Var symbols, when recordValues
   std::vector<Partial> partials_;      ///< one per pool worker
-  std::vector<std::optional<Machine>> frontier_;
+  std::vector<Machine> frontier_;
   /// Per frontier slot: inherited sleep mask (only maintained with dpor).
   std::vector<std::uint64_t> sleepIn_;
   std::vector<Slot> slots_;

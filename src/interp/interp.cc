@@ -7,43 +7,83 @@
 namespace cssame::interp {
 
 RunResult run(const ir::Program& program, InterpOptions opts) {
-  Machine machine(program, opts.model);
+  const MachineLayout layout(program, opts.model);
+  Machine machine(layout);
   std::mt19937_64 rng(opts.seed);
-  support::BudgetKind exceeded = support::BudgetKind::None;
+  RunResult result;
+  // Lock-hold accounting lives here, not in the machine: per thread, the
+  // locks it holds in acquisition order.
+  std::vector<std::vector<SymbolId>> held;
+  std::vector<Machine::Action> ready;
   while (true) {
-    if (machine.result().steps >= opts.maxSteps) {
-      exceeded = support::BudgetKind::Steps;
+    if (result.steps >= opts.maxSteps) {
+      result.budgetExceeded = support::BudgetKind::Steps;
       break;
     }
     if (!machine.anyAlive()) {
-      machine.markCompleted();
+      result.completed = true;
       break;
     }
     if (machine.threadCount() > opts.maxThreads) {
-      exceeded = support::BudgetKind::Threads;
+      result.budgetExceeded = support::BudgetKind::Threads;
       break;
     }
-    // The footprint walk is linear in the thread count; amortize it.
-    if ((machine.result().steps & 0xff) == 0 &&
+    // The memory cap is checked every 256 steps.
+    if ((result.steps & 0xff) == 0 &&
         machine.approxBytes() > opts.maxMemoryBytes) {
-      exceeded = support::BudgetKind::Memory;
+      result.budgetExceeded = support::BudgetKind::Memory;
       break;
     }
-    // Under SC readyActions() is readyThreads() verbatim (no flush
-    // actions exist), so the RNG draws — and thus every seeded schedule —
-    // are unchanged from the pre-TSO interpreter.
-    const std::vector<Machine::Action> ready = machine.readyActions();
+    // Under SC the ready actions are the ready threads' program steps,
+    // so the RNG draws — and thus every seeded schedule — are those of
+    // the pre-TSO interpreter.
+    ready.clear();
+    machine.readyActions(ready);
     if (ready.empty()) {
-      machine.markDeadlocked();
+      result.deadlocked = true;
       break;
     }
     const Machine::Action pick =
         ready[std::uniform_int_distribution<std::size_t>(
             0, ready.size() - 1)(rng)];
+    ++result.steps;
+    if (pick.flush) {
+      machine.perform(pick);
+      continue;
+    }
+    // What the step does to locks, read off the pre-step state: a
+    // blocked acquire resumes holding its lock; a Lock on a free lock
+    // acquires it; an Unlock by the holder releases it.
+    const std::size_t ti = pick.thread;
+    SymbolId acquire, release;
+    bool contended = false;
+    if (machine.statusOf(ti) == Machine::Status::WaitLock) {
+      acquire = machine.waitSymOf(ti);
+      contended = true;
+    } else if (const ir::Stmt* s = machine.pendingStmt(ti)) {
+      if (s->kind == ir::StmtKind::Lock &&
+          machine.lockHolderOf(s->sync) == Machine::kNoThread)
+        acquire = s->sync;
+      else if (s->kind == ir::StmtKind::Unlock &&
+               machine.lockHolderOf(s->sync) == ti)
+        release = s->sync;
+    }
     machine.perform(pick);
+    if (held.size() < machine.threadCount()) held.resize(machine.threadCount());
+    if (acquire.valid()) {
+      held[ti].push_back(acquire);
+      LockStats& ls = result.lockStats[acquire];
+      ++ls.acquisitions;
+      if (contended) ++ls.contendedAcquires;
+    }
+    if (release.valid()) std::erase(held[ti], release);
+    for (SymbolId l : held[ti]) ++result.lockStats[l].holdSteps;
   }
-  RunResult result = std::move(machine).takeResult();
-  result.budgetExceeded = exceeded;
+  const std::span<const long long> out = machine.output();
+  result.output.assign(out.begin(), out.end());
+  result.lockError = machine.lockError();
+  result.assertFailed = machine.assertFailed();
+  result.ptrError = machine.ptrError();
   return result;
 }
 

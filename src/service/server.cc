@@ -147,6 +147,9 @@ Json Server::runCached(const Method& m, const Json& request) {
   Request r{sourceValue.stringValue(), request.getString("file", "<service>"),
             {}, {}};
   const Json& options = request.get("options");
+  if (!options.isNull() && !options.isObject())
+    return errorEnvelope(id, "invalid-request", m.name,
+                         "field 'options' must be an object");
   std::string optErr, exploreKey;
   if (!decodeRunOptions(options, r.run, optErr) ||
       (m.exploreBudgets &&
@@ -238,6 +241,7 @@ Expected<Json> Server::computeExplore(const Request& r, CacheTier&) {
   if (!pr.ok()) return pr.status().fault();
   interp::ExploreOptions eo = r.explore;
   eo.dpor = r.run.dpor;
+  eo.model = r.run.memoryModel;
   interp::ExploreResult res;
   try {
     res = interp::exploreAllSchedules(pr.program, eo);

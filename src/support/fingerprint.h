@@ -4,10 +4,10 @@
 // source text, canonicalized options, and the build that produced the
 // artifact — so two requests with identical content share one entry and
 // any difference (a single changed byte, a different flag, a rebuilt
-// binary) lands on a different key. The mixer is the same dual-stream
-// construction as interp::Machine::stateHash128 (FNV-offset stream plus a
-// murmur-style finalizing stream), whose birthday-bound collision
-// analysis is documented in docs/ANALYSIS.md: at 2^20 cached artifacts
+// binary) lands on a different key. The mixer is a dual-stream
+// construction (an FNV-offset stream plus a murmur-style finalizing
+// stream); treating the two streams as independent 64-bit hashes, the
+// birthday bound of docs/ANALYSIS.md applies: at 2^20 cached artifacts
 // the collision probability is below 1e-24, far below the error rates of
 // the disks the cache lives on.
 #pragma once

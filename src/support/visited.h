@@ -15,14 +15,17 @@
 // during its deduplication phase, so insert order *within one shard* is
 // the deterministic frontier order — the property its determinism
 // argument rests on (docs/PERFORMANCE.md); the stripes additionally make
-// concurrent use from arbitrary threads safe.
+// concurrent use from arbitrary threads safe. Each shard is one flat
+// open-addressing table (linear probing, load factor at most 1/2), so an
+// insert allocates nothing except when its shard doubles.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace cssame::support {
 
@@ -63,8 +66,8 @@ class ShardedVisitedMap {
   static constexpr std::size_t kShards = 64;
 
   /// Shard of a key — a pure function of the fingerprint, so callers can
-  /// partition work by shard. Uses high bits disjoint from the bits the
-  /// in-shard bucket hash favors.
+  /// partition work by shard. Uses the high word's top bits; the in-shard
+  /// tables probe from the low word.
   [[nodiscard]] static std::size_t shardOf(const Hash128& h) {
     return static_cast<std::size_t>(h.hi >> 58) % kShards;
   }
@@ -78,10 +81,10 @@ class ShardedVisitedMap {
                             std::uint64_t pmask) {
     Shard& s = shards_[shardOf(h)];
     std::lock_guard<std::mutex> lock(s.mutex);
-    auto [it, inserted] = s.map.try_emplace(h, sleep);
+    auto [entry, inserted] = s.table.findOrInsert(h, sleep);
     if (inserted) return {true, 0};
-    const std::uint64_t stored = it->second;
-    it->second = stored & sleep;
+    const std::uint64_t stored = entry->sleep;
+    entry->sleep = stored & sleep;
     return {false, pmask & stored & ~sleep};
   }
 
@@ -89,19 +92,85 @@ class ShardedVisitedMap {
     std::size_t n = 0;
     for (const Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mutex);
-      n += s.map.size();
+      n += s.table.size();
     }
     return n;
   }
 
+  /// Two fingerprints' worth of bytes per stored state — the budget
+  /// measure the explorer's memory cap is defined in, independent of how
+  /// full the tables happen to be.
   [[nodiscard]] std::uint64_t approxBytes() const {
     return static_cast<std::uint64_t>(size()) * 2 * sizeof(Hash128);
   }
 
  private:
+  /// Open-addressing (linear probing) table of fingerprint → stored
+  /// sleep mask, in one flat array: no per-entry allocation. The all-zero
+  /// fingerprint marks an empty slot, so a real all-zero key (probability
+  /// 2^-128) is kept aside in `zero_`.
+  class Table {
+   public:
+    struct Entry {
+      Hash128 key;
+      std::uint64_t sleep = 0;
+    };
+
+    /// The entry for `h` and whether it was just inserted with `sleep`.
+    std::pair<Entry*, bool> findOrInsert(const Hash128& h,
+                                         std::uint64_t sleep) {
+      if (h == Hash128{}) {
+        const bool inserted = !hasZero_;
+        if (inserted) zero_ = Entry{h, sleep};
+        hasZero_ = true;
+        return {&zero_, inserted};
+      }
+      // Keep the load factor at or below 1/2.
+      if (2 * (count_ + 1) > slots_.size()) grow();
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = bucketOf(h) & mask;; i = (i + 1) & mask) {
+        Entry& e = slots_[i];
+        if (e.key == h) return {&e, false};
+        if (e.key == Hash128{}) {
+          e = Entry{h, sleep};
+          ++count_;
+          return {&e, true};
+        }
+      }
+    }
+
+    [[nodiscard]] std::size_t size() const {
+      return count_ + (hasZero_ ? 1 : 0);
+    }
+
+   private:
+    /// Bucket from the low word: shardOf() consumes the high word's top
+    /// bits, which are constant within a shard.
+    [[nodiscard]] static std::size_t bucketOf(const Hash128& h) {
+      return static_cast<std::size_t>(h.lo);
+    }
+
+    void grow() {
+      std::vector<Entry> old = std::move(slots_);
+      slots_.assign(old.empty() ? 64 : 2 * old.size(), Entry{});
+      const std::size_t mask = slots_.size() - 1;
+      for (const Entry& e : old) {
+        if (e.key == Hash128{}) continue;
+        std::size_t i = bucketOf(e.key) & mask;
+        while (slots_[i].key != Hash128{}) i = (i + 1) & mask;
+        slots_[i] = e;
+      }
+    }
+
+    std::vector<Entry> slots_;  ///< power-of-two size, or empty
+    std::size_t count_ = 0;     ///< occupied slots
+    bool hasZero_ = false;
+    Entry zero_;
+  };
+
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<Hash128, std::uint64_t, Hash128Hasher> map;
+    Table table;
   };
   std::array<Shard, kShards> shards_;
 };

@@ -43,6 +43,7 @@ void expectIdentical(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.dpor.sleepSetHits, b.dpor.sleepSetHits);
   EXPECT_EQ(a.dpor.depQueries, b.dpor.depQueries);
   EXPECT_EQ(a.dpor.partialReexpansions, b.dpor.partialReexpansions);
+  EXPECT_EQ(a.peakFrontierBytes, b.peakFrontierBytes);
 }
 
 /// The exactness contract against the unreduced oracle. Budgets make the

@@ -35,6 +35,7 @@ void expectSameResult(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.racedVars, b.racedVars);
   EXPECT_EQ(a.observedRanges, b.observedRanges);
   EXPECT_EQ(a.anyAssertFailure, b.anyAssertFailure);
+  EXPECT_EQ(a.peakFrontierBytes, b.peakFrontierBytes);
 }
 
 /// Explores `prog` with workers 1, 2 and 8 and requires identical results.

@@ -70,16 +70,17 @@ TEST(ExploreBudget, SpinReleasedByOtherThreadStillEnumerates) {
 
 TEST(Machine, StateHashDistinguishesProgress) {
   ir::Program prog = parser::parseOrDie("int a; a = 1; a = 2; print(a);");
-  interp::Machine m(prog);
+  const interp::MachineLayout layout(prog);
+  interp::Machine m(layout);
   auto hash = [&m] {
     const support::Hash128 h = m.stateHash128();
     return std::pair{h.hi, h.lo};
   };
   std::vector<std::pair<std::uint64_t, std::uint64_t>> hashes{hash()};
   while (m.anyAlive()) {
-    const auto ready = m.readyThreads();
+    const auto ready = m.readyActions();
     ASSERT_FALSE(ready.empty());
-    m.stepThread(ready[0]);
+    m.perform(ready[0]);
     hashes.push_back(hash());
   }
   // Every step changed the dynamic state.
@@ -96,14 +97,15 @@ TEST(Machine, CopyForksIndependently) {
     }
     print(a);
   )");
-  interp::Machine m(prog);
+  const interp::MachineLayout layout(prog);
+  interp::Machine m(layout);
   // Advance to the scheduling choice between the two stores.
-  while (m.readyThreads().size() < 2) m.stepThread(m.readyThreads()[0]);
+  while (m.readyActions().size() < 2) m.perform(m.readyActions()[0]);
   interp::Machine fork = m;
-  const auto ready = m.readyThreads();
+  const auto ready = m.readyActions();
   ASSERT_EQ(ready.size(), 2u);
-  m.stepThread(ready[0]);
-  fork.stepThread(ready[1]);
+  m.perform(ready[0]);
+  fork.perform(ready[1]);
   EXPECT_FALSE(m.stateHash128() == fork.stateHash128());
 }
 

@@ -20,6 +20,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "src/driver/options.h"
@@ -912,6 +913,61 @@ TEST(ServiceServer, WrongTypedOptionsAreRejected) {
   service::Json resp = parseOk(server.handlePayload(makeRequest(
       "analyze", kRacySource, service::Json::object().set("frob", 1))));
   EXPECT_TRUE(resp.getBool("ok", false));
+}
+
+TEST(ServiceServer, NonObjectOptionsAreRejected) {
+  // An `options` member that is present but not an object is an invalid
+  // request, never read as `{}`; an absent one still means defaults.
+  service::Server server({});
+  for (const char* options : {"5", "[true]", R"("csan")"}) {
+    Expected<service::Json> parsed = service::parseJson(options);
+    ASSERT_TRUE(parsed.ok());
+    for (const char* method : {"analyze", "explore"}) {
+      service::Json resp = parseOk(
+          server.handlePayload(makeRequest(method, kRacySource, *parsed)));
+      EXPECT_FALSE(resp.getBool("ok", true)) << method << " " << options;
+      EXPECT_EQ(resp.get("error").getString("kind", "?"), "invalid-request")
+          << method << " " << options;
+    }
+  }
+  service::Json req = service::Json::object();
+  req.set("id", 1).set("method", "analyze").set("source", kRacySource);
+  service::Json resp = parseOk(server.handlePayload(req.write()));
+  EXPECT_TRUE(resp.getBool("ok", false));
+}
+
+TEST(ServiceServer, ExploreHonoursMemoryModel) {
+  // The explore method explores under the requested memory model, like
+  // `cssamec --explore --memory-model=tso`: Peterson's lock loses an
+  // update only under TSO.
+  std::ifstream in(std::string(CSSAME_SOURCE_DIR) +
+                   "/examples/programs/tso_peterson.cp");
+  ASSERT_TRUE(in.good());
+  const std::string source((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  driver::RunOptions o;
+  o.doExplore = true;
+  o.memoryModel = support::MemoryModel::TSO;
+  const driver::RunOutput cli = driver::runSource(source, "test.cp", o);
+  EXPECT_NE(cli.out.find("explore: 2 distinct output(s) over 444 state(s)\n"
+                         "explore: output: 1\n"
+                         "explore: output: 2\n"),
+            std::string::npos)
+      << cli.out;
+
+  service::Server server({});
+  service::Json resp = parseOk(server.handlePayload(makeRequest(
+      "explore", source,
+      service::Json::object().set("memoryModel", "tso"))));
+  ASSERT_TRUE(resp.getBool("ok", false));
+  const service::Json& result = resp.get("result");
+  EXPECT_EQ(result.get("outputs").write(), "[[1],[2]]");
+  EXPECT_EQ(result.getInt("statesExplored", -1), 444);
+
+  service::Json sc = parseOk(server.handlePayload(makeRequest(
+      "explore", source, service::Json::object().set("memoryModel", "sc"))));
+  ASSERT_TRUE(sc.getBool("ok", false));
+  EXPECT_EQ(sc.get("result").get("outputs").write(), "[[2]]");
 }
 
 TEST(ServiceJson, OutOfRangeDoublesSaturateAsIntegers) {

@@ -224,6 +224,33 @@ TEST(ShardedVisitedMap, ZeroMaskInsertsAndDuplicates) {
   EXPECT_EQ(visited.approxBytes(), 2u * 2 * sizeof(support::Hash128));
 }
 
+TEST(ShardedVisitedMap, ShardTablesGrowAndKeepEveryMask) {
+  // Thousands of keys in one shard force its flat table through several
+  // doublings; the all-zero fingerprint (the table's empty-slot marker)
+  // is one of them. Every key must stay findable with the sleep mask it
+  // was stored with.
+  support::ShardedVisitedMap visited;
+  constexpr std::uint64_t kN = 5000;
+  auto key = [](std::uint64_t i) {
+    return support::Hash128{i & 0xff, i * 0x9e3779b97f4a7c15ull};
+  };
+  ASSERT_TRUE(key(0) == support::Hash128{});
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(support::ShardedVisitedMap::shardOf(key(i)), 0u);
+    EXPECT_TRUE(visited.insertOrMerge(key(i), (i % 63) + 1, 0).fresh);
+  }
+  EXPECT_EQ(visited.size(), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    // A revisit with an empty sleep set re-expands exactly what the
+    // stored visit slept, and leaves nothing for a third visit.
+    const auto again = visited.insertOrMerge(key(i), 0, ~0ull);
+    EXPECT_FALSE(again.fresh);
+    EXPECT_EQ(again.missing, (i % 63) + 1) << i;
+    EXPECT_EQ(visited.insertOrMerge(key(i), 0, ~0ull).missing, 0u) << i;
+  }
+  EXPECT_EQ(visited.size(), kN);
+}
+
 TEST(ShardedVisitedMap, ShardOfIsStableAndInRange) {
   for (std::uint64_t hi = 0; hi < 256; ++hi) {
     const support::Hash128 h{hi << 56, 42};

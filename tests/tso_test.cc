@@ -165,10 +165,10 @@ TEST(TsoGrammar, MalformedAtomicsAreSyntaxErrors) {
 
 // --- machine: store buffers, forwarding, fence gating ---------------
 
-/// Drives `prog` (one cobegin with one thread) up to the point where the
-/// child thread is spawned, returning the machine.
-interp::Machine spawned(const ir::Program& prog, support::MemoryModel m) {
-  interp::Machine machine(prog, m);
+/// Drives the layout's program (one cobegin with one thread) up to the
+/// point where the child thread is spawned, returning the machine.
+interp::Machine spawned(const interp::MachineLayout& layout) {
+  interp::Machine machine(layout);
   machine.perform({0, false});  // main thread executes the cobegin
   return machine;
 }
@@ -181,12 +181,13 @@ TEST(TsoMachine, BufferedStoreIsInvisibleUntilFlushed) {
   const SymbolId x = prog.symbols.lookup("x");
   ASSERT_TRUE(x.valid());
 
-  interp::Machine m = spawned(prog, support::MemoryModel::TSO);
+  const interp::MachineLayout layout(prog, support::MemoryModel::TSO);
+  interp::Machine m = spawned(layout);
   m.perform({1, false});  // the store issues into thread 1's buffer
   EXPECT_EQ(m.valueOf(x), 0) << "buffered store leaked into memory";
   ASSERT_EQ(m.storeBufOf(1).size(), 1u);
-  EXPECT_EQ(m.storeBufOf(1).front().first, x.index());
-  EXPECT_EQ(m.storeBufOf(1).front().second, 7);
+  EXPECT_EQ(m.storeBufOf(1).front().cell, x.index());
+  EXPECT_EQ(m.storeBufOf(1).front().value, 7);
 
   m.perform({1, true});  // flush commits it
   EXPECT_EQ(m.valueOf(x), 7);
@@ -201,15 +202,16 @@ TEST(TsoMachine, LoadsForwardFromOwnBufferNewestFirst) {
   const SymbolId x = prog.symbols.lookup("x");
   const SymbolId r = prog.symbols.lookup("r");
 
-  interp::Machine m = spawned(prog, support::MemoryModel::TSO);
+  const interp::MachineLayout layout(prog, support::MemoryModel::TSO);
+  interp::Machine m = spawned(layout);
   m.perform({1, false});  // x = 1 (buffered)
   m.perform({1, false});  // x = 2 (buffered behind it)
   ASSERT_EQ(m.storeBufOf(1).size(), 2u);
   m.perform({1, false});  // r = x must forward the *newest* entry
   // r is itself shared here, so its store is buffered too: newest entry.
   ASSERT_EQ(m.storeBufOf(1).size(), 3u);
-  EXPECT_EQ(m.storeBufOf(1).back().first, r.index());
-  EXPECT_EQ(m.storeBufOf(1).back().second, 2);
+  EXPECT_EQ(m.storeBufOf(1).back().cell, r.index());
+  EXPECT_EQ(m.storeBufOf(1).back().value, 2);
   EXPECT_EQ(m.valueOf(x), 0);  // nothing committed yet
 }
 
@@ -220,7 +222,8 @@ TEST(TsoMachine, FlushesCommitInFifoOrder) {
   )");
   const SymbolId x = prog.symbols.lookup("x");
 
-  interp::Machine m = spawned(prog, support::MemoryModel::TSO);
+  const interp::MachineLayout layout(prog, support::MemoryModel::TSO);
+  interp::Machine m = spawned(layout);
   m.perform({1, false});
   m.perform({1, false});
   m.perform({1, true});  // oldest first: x = 1
@@ -234,7 +237,8 @@ TEST(TsoMachine, FenceBlocksUntilOwnBufferDrains) {
     int x, y;
     cobegin { thread { x = 1; fence; y = 1; } }
   )");
-  interp::Machine m = spawned(prog, support::MemoryModel::TSO);
+  const interp::MachineLayout layout(prog, support::MemoryModel::TSO);
+  interp::Machine m = spawned(layout);
   m.perform({1, false});  // x = 1 buffered; next stmt is the fence
 
   // With a pending store, the fence cannot run: the only enabled action
@@ -256,7 +260,8 @@ TEST(TsoMachine, AtomicStoreCommitsImmediately) {
     cobegin { thread { atomic_store(x, 5); } }
   )");
   const SymbolId x = prog.symbols.lookup("x");
-  interp::Machine m = spawned(prog, support::MemoryModel::TSO);
+  const interp::MachineLayout layout(prog, support::MemoryModel::TSO);
+  interp::Machine m = spawned(layout);
   m.perform({1, false});
   EXPECT_EQ(m.valueOf(x), 5);
   EXPECT_TRUE(m.storeBufOf(1).empty());
@@ -273,8 +278,10 @@ TEST(TsoMachine, StateHashSeesBufferedStores) {
     int x;
     cobegin { thread { x = 0; } }
   )");
-  interp::Machine tso = spawned(prog, support::MemoryModel::TSO);
-  interp::Machine sc = spawned(prog, support::MemoryModel::SC);
+  const interp::MachineLayout tsoLayout(prog, support::MemoryModel::TSO);
+  const interp::MachineLayout scLayout(prog, support::MemoryModel::SC);
+  interp::Machine tso = spawned(tsoLayout);
+  interp::Machine sc = spawned(scLayout);
   tso.perform({1, false});
   sc.perform({1, false});
 
