@@ -22,6 +22,10 @@
 //      part 1, so it binds on any machine: >= 10x fewer deduplicated
 //      states, with the contract fields (outputs, racedVars, verdict
 //      bits) exactly equal — both are hard failures.
+//   5. Mutex bodies as single steps: on a lock-heavy workload, the
+//      unreduced sweep, DPOR alone, and DPOR with consistently protected
+//      mutex bodies run as one step (SC). Exactness is a hard failure;
+//      the state counts are reported.
 //
 // Results are merged into BENCH_scale.json (the sections other benches
 // write there are kept). The thread-parallel speedup targets of
@@ -514,13 +518,94 @@ DporScale runDporScale(support::MemoryModel model) {
 }
 
 // ---------------------------------------------------------------------------
+// Part 5 — mutex bodies as single explorer steps.
+// ---------------------------------------------------------------------------
+
+/// Lock-heavy workload, the shape of a repaired fix_racy program: three
+/// threads of three short bodies under one lock over shared a, b, c, r.
+/// Every body qualifies. Under a single lock every pair of acquires is
+/// dependent, so DPOR alone prunes almost nothing here.
+constexpr const char* kLockBodiesDecls = "int a, b, c, r;\nlock L;\n";
+constexpr const char* kLockBodiesMain = R"(
+  cobegin {
+    thread { lock(L); a = a + 3; unlock(L); lock(L); r = r + 4; unlock(L);
+             lock(L); b = a + 5; unlock(L); }
+    thread { lock(L); r = r + 2; unlock(L); lock(L); b = b + 1; unlock(L);
+             lock(L); c = b + 7; unlock(L); }
+    thread { lock(L); c = c + 6; unlock(L); lock(L); a = c + 2; unlock(L);
+             lock(L); r = r + 9; unlock(L); }
+  }
+  print(a); print(b); print(c); print(r);
+)";
+/// The DPOR-only baseline without an option to turn bodies off: a dead
+/// branch at main's start whose cobegin arm reads every variable without
+/// the lock. It never runs, but no variable is consistently protected
+/// any more, so no body qualifies; executing the `if` adds exactly one
+/// state, which the baseline subtracts.
+constexpr const char* kLockBodiesBlocker =
+    "if (a == 1) { cobegin { thread { r = a + b + c + r; } } }\n";
+
+struct AtomicBodyScale {
+  std::uint64_t statesFull = 0;
+  std::uint64_t statesDpor = 0;    ///< DPOR, no body qualifies
+  std::uint64_t statesAtomic = 0;  ///< DPOR with atomic bodies
+  std::uint64_t atomicBodies = 0;  ///< successors that ran a body
+  double fullSeconds = 0;
+  double dporSeconds = 0;
+  double atomicSeconds = 0;
+  bool exact = false;
+
+  [[nodiscard]] double ratio() const {
+    return statesAtomic > 0 ? static_cast<double>(statesDpor) /
+                                  static_cast<double>(statesAtomic)
+                            : 0.0;
+  }
+};
+
+AtomicBodyScale runAtomicBodyScale() {
+  const ir::Program prog = parser::parseOrDie(std::string(kLockBodiesDecls) +
+                                              kLockBodiesMain);
+  const ir::Program blocked = parser::parseOrDie(
+      std::string(kLockBodiesDecls) + kLockBodiesBlocker + kLockBodiesMain);
+  interp::ExploreOptions opts;
+  opts.maxSteps = 1u << 26;
+  opts.maxStates = 1u << 24;
+  opts.detectRaces = true;
+  opts.workers = benchutil::exploreWorkers();
+
+  AtomicBodyScale out;
+  interp::ExploreResult full, fullBlocked, dpor, atomic;
+  const int reps = smokeMode() ? 1 : 3;
+  opts.dpor = false;
+  out.fullSeconds =
+      timeBest(reps, [&] { full = interp::exploreAllSchedules(prog, opts); });
+  fullBlocked = interp::exploreAllSchedules(blocked, opts);
+  opts.dpor = true;
+  out.dporSeconds = timeBest(
+      reps, [&] { dpor = interp::exploreAllSchedules(blocked, opts); });
+  out.atomicSeconds = timeBest(
+      reps, [&] { atomic = interp::exploreAllSchedules(prog, opts); });
+  out.statesFull = full.statesExplored;
+  out.statesDpor = dpor.statesExplored - 1;  // the dead branch's state
+  out.statesAtomic = atomic.statesExplored;
+  out.atomicBodies = atomic.dpor.atomicBodies;
+  out.exact = contractExact(full, atomic) && atomic.dpor.atomicBodies > 0 &&
+              contractExact(fullBlocked, dpor) &&
+              dpor.dpor.atomicBodies == 0 &&
+              fullBlocked.statesExplored == full.statesExplored + 1 &&
+              fullBlocked.outputs == full.outputs;
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 
 /// Merges this bench's sections into the BENCH_scale.json in `path`,
 /// keeping the sections other benches own (bench_scale_pipeline's
 /// "pipeline_sweep").
 void writeJson(const ConflictScale& c, const ExplorerScale& e,
                const BatchScale& b, const DporScale& dsc,
-               const DporScale& dtso, unsigned hw, const char* path) {
+               const DporScale& dtso, const AtomicBodyScale& ab, unsigned hw,
+               const char* path) {
   using service::Json;
   // Thread-parallel speedup targets (parts 2 and 3) only bind when the
   // container actually has the cores; the gate is written into the JSON
@@ -580,6 +665,19 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
       .set("target_ratio", 10.0)
       .set("sc", model(dsc))
       .set("tso", model(dtso));
+  Json bodies = Json::object();
+  bodies
+      .set("workload",
+           "3 threads x 3 lock(L) bodies over shared a, b, c, r (SC)")
+      .set("states_unreduced", u64(ab.statesFull))
+      .set("states_dpor", u64(ab.statesDpor))
+      .set("states_dpor_atomic_bodies", u64(ab.statesAtomic))
+      .set("reduction_ratio_vs_dpor", ab.ratio())
+      .set("atomic_body_successors", u64(ab.atomicBodies))
+      .set("unreduced_seconds", ab.fullSeconds)
+      .set("dpor_seconds", ab.dporSeconds)
+      .set("dpor_atomic_bodies_seconds", ab.atomicSeconds)
+      .set("results_exact", ab.exact);
   Json update = Json::object();
   update
       .set("experiment",
@@ -592,7 +690,8 @@ void writeJson(const ConflictScale& c, const ExplorerScale& e,
       .set("conflict_construction", std::move(conflict))
       .set("explorer", std::move(explorer))
       .set("batch_driver", std::move(batch))
-      .set("dpor_reduction", std::move(dpor));
+      .set("dpor_reduction", std::move(dpor))
+      .set("dpor_atomic_bodies", std::move(bodies));
   benchutil::mergeJsonFile(path, update);
 }
 
@@ -611,6 +710,7 @@ int main(int argc, char** argv) {
   const BatchScale b = runBatchScale();
   const DporScale dsc = runDporScale(support::MemoryModel::SC);
   const DporScale dtso = runDporScale(support::MemoryModel::TSO);
+  const AtomicBodyScale ab = runAtomicBodyScale();
 
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.1fx", c.speedup());
@@ -647,15 +747,23 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(dtso.peakFrontierFull),
                 static_cast<unsigned long long>(dtso.peakFrontierDpor));
   tableRowStr("  TSO peak frontier bytes", "(reported)", buf, true);
+  std::snprintf(buf, sizeof buf, "%llu / %llu / %llu",
+                static_cast<unsigned long long>(ab.statesFull),
+                static_cast<unsigned long long>(ab.statesDpor),
+                static_cast<unsigned long long>(ab.statesAtomic));
+  tableRowStr("lock bodies: unreduced / dpor / +atomic", "(reported)", buf,
+              true);
+  tableRow("  lock-body results exact (contract fields)", "1", ab.exact,
+           ab.exact);
   std::printf("  hardware threads: %u%s\n", hw,
               canScale ? "" : " (speedup targets not measurable here)");
-  writeJson(c, e, b, dsc, dtso, hw, "BENCH_scale.json");
+  writeJson(c, e, b, dsc, dtso, ab, hw, "BENCH_scale.json");
   std::printf("  wrote BENCH_scale.json\n\n");
 
   // Divergence anywhere is a correctness failure, independent of timing;
   // so is a reduction that falls below the floor or breaks exactness.
   if (!c.identical || !e.identical || !b.identical) return 1;
-  if (!dsc.exact || !dtso.exact) return 1;
+  if (!dsc.exact || !dtso.exact || !ab.exact) return 1;
   if (dsc.ratio() < 10.0 || dtso.ratio() < 10.0) return 1;
   return runBenchmarks(argc, argv);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
 namespace cssame::interp::dpor {
 
@@ -116,10 +117,203 @@ bool cellsConflict(const Machine::ActionFacts& a,
   return false;
 }
 
+/// True when the expression tree takes an address or dereferences one.
+bool usesPointers(const ir::Expr& root) {
+  bool found = false;
+  ir::forEachExpr(root, [&](const ir::Expr& e) {
+    found = found || e.kind == ir::ExprKind::Deref ||
+            e.kind == ir::ExprKind::AddrOf;
+  });
+  return found;
+}
+
+bool stmtUsesPointers(const ir::Stmt& s) {
+  bool found = s.kind == ir::StmtKind::Assign &&
+               s.lhsKind == ir::LValueKind::Deref;
+  ir::forEachStmtExpr(
+      s, [&](const ir::Expr& root) { found = found || usesPointers(root); });
+  return found;
+}
+
+/// Per statement of `list`: for a `lock(L)` that opens a lexical region,
+/// the index of the `unlock(L)` closing it — the first later statement
+/// that locks or unlocks L at any nesting, when it is that unlock. 0
+/// everywhere else. One pass; nested statements are walked once each.
+std::vector<std::size_t> regionEnds(const ir::StmtList& list) {
+  std::vector<std::size_t> end(list.size(), 0);
+  std::unordered_map<SymbolId, std::size_t> open;  // lock -> its lock(L)
+  for (std::size_t j = 0; j < list.size(); ++j) {
+    const ir::Stmt& s = *list[j];
+    if (s.kind == ir::StmtKind::Unlock) {
+      if (const auto it = open.find(s.sync); it != open.end()) {
+        end[it->second] = j;
+        open.erase(it);
+      }
+      continue;
+    }
+    if (s.kind == ir::StmtKind::Lock) {
+      open[s.sync] = j;  // a pending lock(L) is touched first by this one
+      continue;
+    }
+    auto visit = [&](const ir::Stmt& t) {
+      if (t.kind == ir::StmtKind::Lock || t.kind == ir::StmtKind::Unlock)
+        open.erase(t.sync);
+    };
+    ir::forEachStmt(s.thenBody, visit);
+    ir::forEachStmt(s.elseBody, visit);
+    for (const ir::ThreadBody& tb : s.threads) ir::forEachStmt(tb.body, visit);
+  }
+  return end;
+}
+
+/// One walk over the program: candidate bodies (the straight-line
+/// regions), and per shared variable the locks lexically held at every
+/// one of its accesses inside cobegin arms.
+class BodyScan {
+ public:
+  explicit BodyScan(const ir::Program& prog)
+      : prog_(prog), guard_(prog.symbols.size()) {
+    walk(prog.body, {}, /*inArm=*/false, /*clean=*/true);
+  }
+
+  /// Moves the candidates whose variables are all consistently guarded
+  /// by their lock into `out`.
+  void emit(std::unordered_map<const ir::Stmt*, AtomicBody>& out) {
+    for (Candidate& c : candidates_) {
+      const SymbolId lock = c.lock->sync;
+      auto guarded = [&](SymbolId v) {
+        const std::optional<std::vector<SymbolId>>& g = guard_[v.index()];
+        return !g || std::find(g->begin(), g->end(), lock) != g->end();
+      };
+      if (std::all_of(c.body.reads.begin(), c.body.reads.end(), guarded) &&
+          std::all_of(c.body.writes.begin(), c.body.writes.end(), guarded))
+        out.emplace(c.lock, std::move(c.body));
+    }
+  }
+
+ private:
+  struct Candidate {
+    const ir::Stmt* lock;
+    AtomicBody body;
+  };
+
+  /// Narrows v's guard to the locks held at this access.
+  void access(SymbolId v, const std::vector<SymbolId>& held) {
+    if (!prog_.symbols.isSharedVar(v)) return;
+    std::optional<std::vector<SymbolId>>& g = guard_[v.index()];
+    if (!g) {
+      g = held;
+      return;
+    }
+    std::erase_if(*g, [&](SymbolId l) {
+      return std::find(held.begin(), held.end(), l) == held.end();
+    });
+  }
+
+  /// Calls `fn` on every variable statement `s` itself reads or writes.
+  template <typename Fn>
+  static void forEachVar(const ir::Stmt& s, Fn&& fn) {
+    ir::forEachStmtExpr(s, [&](const ir::Expr& root) {
+      ir::forEachExpr(root, [&](const ir::Expr& e) {
+        if (e.kind == ir::ExprKind::VarRef || e.kind == ir::ExprKind::Index)
+          fn(e.var, false);
+      });
+    });
+    if (s.kind == ir::StmtKind::Assign && s.lhsKind != ir::LValueKind::Deref)
+      fn(s.lhs, true);
+  }
+
+  /// `held`: the locks lexically held on entry to `list` in the thread
+  /// running it. `clean`: no enclosing cobegin uses pointers.
+  void walk(const ir::StmtList& list, std::vector<SymbolId> held, bool inArm,
+            bool clean) {
+    const std::vector<std::size_t> ends = regionEnds(list);
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const ir::Stmt& s = *list[k];
+      // An unlock(L) with L held closes a region of this list: a region
+      // inherited from an enclosing list has no unlock(L) inside it.
+      if (s.kind == ir::StmtKind::Unlock) std::erase(held, s.sync);
+      if (inArm) forEachVar(s, [&](SymbolId v, bool) { access(v, held); });
+      switch (s.kind) {
+        case ir::StmtKind::Lock:
+          if (ends[k] != 0) {
+            held.push_back(s.sync);
+            if (clean) candidate(list, k, ends[k]);
+          }
+          break;
+        case ir::StmtKind::If:
+        case ir::StmtKind::While:
+          walk(s.thenBody, held, inArm, clean);
+          walk(s.elseBody, held, inArm, clean);
+          break;
+        case ir::StmtKind::Cobegin: {
+          bool armsClean = clean;
+          for (const ir::ThreadBody& tb : s.threads)
+            ir::forEachStmt(tb.body, [&](const ir::Stmt& t) {
+              armsClean = armsClean && !stmtUsesPointers(t);
+            });
+          for (const ir::ThreadBody& tb : s.threads)
+            walk(tb.body, {}, /*inArm=*/true, armsClean);
+          break;
+        }
+        default:
+          break;
+      }
+    }
+  }
+
+  /// Records the region list[k+1..j) as a candidate body when it is a
+  /// straight run of plain assignments and calls.
+  void candidate(const ir::StmtList& list, std::size_t k, std::size_t j) {
+    Candidate c{list[k].get(), {}};
+    c.body.steps = static_cast<std::uint32_t>(j - k);
+    for (std::size_t i = k + 1; i < j; ++i) {
+      const ir::Stmt& s = *list[i];
+      const bool plain =
+          (s.kind == ir::StmtKind::Assign && !s.atomic) ||
+          s.kind == ir::StmtKind::CallStmt;
+      if (!plain || stmtUsesPointers(s)) return;
+      forEachVar(s, [&](SymbolId v, bool write) {
+        if (prog_.symbols.isSharedVar(v))
+          (write ? c.body.writes : c.body.reads).push_back(v);
+      });
+    }
+    for (std::vector<SymbolId>* vars : {&c.body.reads, &c.body.writes}) {
+      std::sort(vars->begin(), vars->end());
+      vars->erase(std::unique(vars->begin(), vars->end()), vars->end());
+    }
+    candidates_.push_back(std::move(c));
+  }
+
+  const ir::Program& prog_;
+  /// Per symbol: locks held at every arm access so far (nullopt before
+  /// the first one).
+  std::vector<std::optional<std::vector<SymbolId>>> guard_;
+  std::vector<Candidate> candidates_;
+};
+
 }  // namespace
 
 StaticFootprints::StaticFootprints(const ir::Program& prog) {
   collectBody(prog.body, prog.symbols.size(), byBody_);
+}
+
+AtomicBodies::AtomicBodies(const ir::Program& prog) {
+  BodyScan(prog).emit(byLock_);
+}
+
+const AtomicBody* AtomicBodies::of(const Machine& machine,
+                                   Machine::Action a) const {
+  if (a.flush || byLock_.empty()) return nullptr;
+  const Machine::Status st = machine.statusOf(a.thread);
+  if (st != Machine::Status::Runnable && st != Machine::Status::WaitLock)
+    return nullptr;
+  const ir::Stmt* s = machine.currentStmt(a.thread);
+  if (s == nullptr || s->kind != ir::StmtKind::Lock ||
+      machine.lockHolderOf(s->sync) != Machine::kNoThread)
+    return nullptr;
+  const auto it = byLock_.find(s);
+  return it == byLock_.end() ? nullptr : &it->second;
 }
 
 bool dependent(const Machine::ActionFacts& a, const Machine::ActionFacts& b) {
@@ -152,7 +346,8 @@ bool futureConflict(const Footprint& fp, const Machine::ActionFacts& f) {
 StateSets computeStateSets(const Machine& machine,
                            std::span<const Machine::Action> ready,
                            const StaticFootprints& footprints,
-                           Scratch& scratch, std::span<std::uint64_t> depMask) {
+                           const AtomicBodies* bodies, Scratch& scratch,
+                           std::span<std::uint64_t> depMask) {
   StateSets out;
   const std::size_t n = machine.threadCount();
   if (n > kMaxDporThreads || ready.empty()) return out;
@@ -165,7 +360,8 @@ StateSets computeStateSets(const Machine& machine,
   std::array<std::uint8_t, kMaxDporThreads> firstOf{};
   std::array<std::uint8_t, kMaxDporThreads> countOf{};
   for (std::size_t i = 0; i < ready.size(); ++i) {
-    machine.actionFacts(ready[i], facts[i]);
+    machine.actionFacts(ready[i], facts[i],
+                        bodies == nullptr ? nullptr : bodies->of(machine, ready[i]));
     const std::size_t t = ready[i].thread;
     if (countOf[t]++ == 0) firstOf[t] = static_cast<std::uint8_t>(i);
     out.enabledMask |= actionKeyBit(ready[i]);

@@ -34,6 +34,10 @@
 // lets the explorer run it in its deterministic classify phase: the
 // result cannot depend on the worker count.
 //
+// Under SC the reduced explorer also runs some mutex bodies as single
+// steps (AtomicBodies below): an acquire of such a lock executes the
+// body through its unlock in the same successor.
+//
 // Soundness caveat (shared discipline): dependence only tracks *shared*
 // variables, mirroring the race oracle — the parser scopes thread-local
 // declarations to their thread body, so cross-thread access to a
@@ -84,6 +88,44 @@ class StaticFootprints {
   std::unordered_map<const ir::StmtList*, Footprint> byBody_;
 };
 
+/// The mutex bodies the SC explorer runs as one step with their lock —
+/// Lipton reduction, the dynamic twin of the paper's Theorems 1 and 2: a
+/// lock is a right-mover, an unlock a left-mover, and an access to a
+/// variable only ever touched under the same lock commutes with
+/// everything another thread can do meanwhile. `lock(L)` starts a
+/// qualifying body when, in its own statement list,
+///
+///  - the first later statement that locks or unlocks L (at any nesting)
+///    is an `unlock(L)`, and everything between is a straight run of
+///    non-atomic assignments and call statements without pointer
+///    operations — so no print, assert, fence, sync, barrier, branch,
+///    loop or cobegin;
+///  - every shared variable the body touches is L-consistent: each of
+///    its accesses inside any cobegin arm, at any nesting, sits
+///    lexically between a `lock(L)` and its unlock in the accessing
+///    arm's own code. Main-thread accesses outside every cobegin are
+///    exempt (main is joining while any arm runs);
+///  - it is not inside a top-level cobegin whose arms take an address or
+///    dereference a pointer anywhere (a pointer may name any cell).
+///
+/// docs/PERFORMANCE.md gives the soundness argument.
+class AtomicBodies {
+ public:
+  explicit AtomicBodies(const ir::Program& prog);
+
+  /// The body enabled action `a` of `machine` runs after its acquire, or
+  /// nullptr when `a` is not an acquire of a qualifying lock (a program
+  /// step or WaitLock resume at the lock, with the lock free).
+  [[nodiscard]] const AtomicBody* of(const Machine& machine,
+                                     Machine::Action a) const;
+
+  /// Number of qualifying lock statements.
+  [[nodiscard]] std::size_t size() const { return byLock_.size(); }
+
+ private:
+  std::unordered_map<const ir::Stmt*, AtomicBody> byLock_;
+};
+
 /// Action key: bit index identifying one scheduler action of a state —
 /// thread index times two, plus one for the store-buffer flush action.
 /// Fits 32 threads in a 64-bit mask; states with more threads fall back
@@ -123,14 +165,16 @@ struct Scratch {
                                   const Machine::ActionFacts& f);
 
 /// Computes the persistent set and dependence masks for one state.
-/// `ready` must be machine.readyActions() (non-empty). When the result is
+/// `ready` must be machine.readyActions() (non-empty); `bodies` (may be
+/// null) names the acquires that run their body in the same step, whose
+/// facts then include the body's accesses. When the result is
 /// ok, `depMask` (parallel to `ready`) receives, per enabled action, the
 /// key bits of the other enabled actions it is dependent with — its own
 /// thread's other action included, since same-thread actions never
 /// commute.
 [[nodiscard]] StateSets computeStateSets(
     const Machine& machine, std::span<const Machine::Action> ready,
-    const StaticFootprints& footprints, Scratch& scratch,
-    std::span<std::uint64_t> depMask);
+    const StaticFootprints& footprints, const AtomicBodies* bodies,
+    Scratch& scratch, std::span<std::uint64_t> depMask);
 
 }  // namespace cssame::interp::dpor

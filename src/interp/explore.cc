@@ -34,6 +34,9 @@
 // reduction off every phase degenerates bit-for-bit to the unreduced
 // sweep. docs/PERFORMANCE.md extends the determinism argument to the
 // sleep machinery; src/interp/dpor.h states the soundness contract.
+// Under SC the reduced sweep also runs each qualifying mutex body
+// (dpor::AtomicBodies) in the same successor as the acquire that starts
+// it: one action, one layer, its machine steps all counted.
 #include "src/interp/explore.h"
 
 #include <algorithm>
@@ -85,6 +88,8 @@ class Explorer {
         if (s.kind == ir::SymbolKind::Var) sampledVars_.push_back(s.id);
     }
     if (opts_.dpor) footprints_.emplace(prog_);
+    if (opts_.dpor && opts_.model == support::MemoryModel::SC)
+      atomicBodies_.emplace(prog_);
   }
 
   ExploreResult run() {
@@ -216,7 +221,8 @@ class Explorer {
       if (opts_.dpor) {
         p.depMask.resize(p.ready.size());
         const dpor::StateSets sets = dpor::computeStateSets(
-            m, ready, *footprints_, p.dpor,
+            m, ready, *footprints_,
+            atomicBodies_ ? &*atomicBodies_ : nullptr, p.dpor,
             std::span(p.depMask.data() + s.readyOff, s.readyLen));
         p.depQueries += sets.depQueries;
         s.dporOk = sets.ok;
@@ -330,7 +336,9 @@ class Explorer {
   /// sleep set positionally: the inherited sleep plus every action
   /// expanded before it in ready order, minus everything dependent with
   /// the action taken — a pure function of the slot, so the next layer's
-  /// sleep sets are as worker-count-independent as its machines.
+  /// sleep sets are as worker-count-independent as its machines. An
+  /// acquire that starts an atomic body runs the body through its unlock
+  /// on the same successor.
   /// Successor bytes accumulate in a monotonic atomic; crossing the
   /// memory cap stops all workers cooperatively. Returns false when
   /// memory tripped.
@@ -353,6 +361,8 @@ class Explorer {
     if (opts_.dpor) nextSleep.assign(total, 0);
     if (total != 0) {
       std::atomic<std::uint64_t> succBytes{0};
+      std::atomic<std::uint64_t> bodySteps{0};  ///< steps run inside bodies
+      std::atomic<std::uint64_t> bodies{0};     ///< successors that ran one
       std::atomic<bool> memTripped{false};
       pool_.parallelFor(expand.size(), [&](std::size_t e, unsigned) {
         const std::size_t i = expand[e];
@@ -374,9 +384,18 @@ class Explorer {
             nextSleep[j] = acc & ~p.depMask[s.readyOff + k];
             acc |= dpor::actionKeyBit(ready[k]);
           }
+          const AtomicBody* body =
+              atomicBodies_ ? atomicBodies_->of(frontier_[i], ready[k])
+                            : nullptr;
           Machine& succ = next[j++];
           succ = k == lastK ? std::move(frontier_[i]) : frontier_[i];
           succ.perform(ready[k]);
+          if (body != nullptr) {
+            for (std::uint32_t n = 0; n < body->steps; ++n)
+              succ.perform(ready[k]);
+            bodySteps.fetch_add(body->steps, std::memory_order_relaxed);
+            bodies.fetch_add(1, std::memory_order_relaxed);
+          }
           const std::uint64_t bytes = succ.approxBytes();
           const std::uint64_t sum =
               succBytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
@@ -388,7 +407,8 @@ class Explorer {
         trip(support::BudgetKind::Memory);
         return false;
       }
-      stepsUsed_ += total;
+      stepsUsed_ += total + bodySteps.load();
+      result_.dpor.atomicBodies += bodies.load();
       frontierBytes_ = succBytes.load();
       result_.peakFrontierBytes =
           std::max(result_.peakFrontierBytes, frontierBytes_);
@@ -432,6 +452,8 @@ class Explorer {
   std::vector<Slot> slots_;
   /// Static whole-body footprints, built once per exploration (dpor).
   std::optional<dpor::StaticFootprints> footprints_;
+  /// Mutex bodies run as one step (dpor under SC only).
+  std::optional<dpor::AtomicBodies> atomicBodies_;
   support::ShardedVisitedMap visited_;
   std::uint64_t stepsUsed_ = 0;
   std::uint64_t frontierBytes_ = 0;  ///< footprint of the current layer

@@ -43,7 +43,10 @@ namespace cssame::interp {
 
 struct ExploreOptions {
   std::uint64_t maxSteps = 1u << 21;    ///< total step budget (all branches)
-  std::uint64_t maxDepthPerRun = 4096;  ///< per-schedule step bound
+  /// Per-schedule bound on breadth-first layers. A layer is one scheduler
+  /// action; under DPOR on SC an acquire that runs its whole mutex body
+  /// (dpor::AtomicBodies) is one action, so such a body is one layer.
+  std::uint64_t maxDepthPerRun = 4096;
   std::uint64_t maxStates = 1u << 22;   ///< deduplicated dynamic states
   /// Approximate cap on explorer memory (visited-state set + the machine
   /// copies in the current frontier). Exceeding it ends exploration
@@ -73,6 +76,11 @@ struct ExploreOptions {
   /// keeps a representative); `observedRanges` may shrink to a subset of
   /// the unreduced ranges — still sound for the vrange oracle, which
   /// only consumes observations as lower bounds (docs/ANALYSIS.md).
+  /// Under SC the reduction also runs each mutex body whose shared
+  /// variables are consistently protected by its lock as one step with
+  /// the lock (Lipton reduction; dpor::AtomicBodies), so its interior
+  /// states are never visited or counted; maxSteps still counts every
+  /// machine step. TSO exploration does not do this.
   /// Off is the equality oracle: bit-identical to the pre-DPOR explorer.
   bool dpor = true;
   /// Memory model the machines simulate. SC (default) explores exactly
@@ -129,6 +137,9 @@ struct ExploreResult {
     /// Revisited states whose stored sleep mask forced extra expansion
     /// (the state-caching repair rule).
     std::uint64_t partialReexpansions = 0;
+    /// Successors that ran a whole mutex body in the step that acquired
+    /// its lock (SC only).
+    std::uint64_t atomicBodies = 0;
   };
   DporStats dpor;
   /// Largest per-layer frontier footprint seen (bytes) — the explorer's

@@ -143,6 +143,17 @@ class MachineLayout {
   std::uint32_t bufCap_ = 0;         ///< store-buffer slots per thread
 };
 
+/// A mutex body the schedule explorer runs as one step together with the
+/// lock that starts it (dpor::AtomicBodies in src/interp/dpor.h decides
+/// which bodies qualify). Static: the same for every state at the lock.
+struct AtomicBody {
+  /// Program steps after the acquire: the body's statements, then the
+  /// unlock.
+  std::uint32_t steps = 0;
+  std::vector<SymbolId> reads;   ///< shared variables the body reads
+  std::vector<SymbolId> writes;  ///< shared variables the body writes
+};
+
 class Machine {
  public:
   /// One scheduler choice: execute the thread's next program step, or
@@ -273,17 +284,24 @@ class Machine {
 
   [[nodiscard]] std::size_t threadCount() const { return threads_; }
 
+  /// The statement at thread `ti`'s program point whatever its status (a
+  /// WaitLock thread sits on its lock statement), or nullptr when it has
+  /// no frame left.
+  [[nodiscard]] const ir::Stmt* currentStmt(std::size_t ti) const {
+    const ThreadRec& t = thread(ti);
+    if (t.depth == 0) return nullptr;
+    const Frame& f = frames(ti)[t.depth - 1];
+    if (f.idx >= f.list->size()) return nullptr;
+    return (*f.list)[f.idx].get();
+  }
+
   /// The statement thread `ti` would execute on its next step, or nullptr
   /// when the thread is blocked, joining or done (its next step is then a
   /// synchronization action, not a variable access). The explorer's
   /// dynamic race detector inspects pending statements of co-enabled
   /// threads.
   [[nodiscard]] const ir::Stmt* pendingStmt(std::size_t ti) const {
-    const ThreadRec& t = thread(ti);
-    if (t.status != Status::Runnable || t.depth == 0) return nullptr;
-    const Frame& f = frames(ti)[t.depth - 1];
-    if (f.idx >= f.list->size()) return nullptr;
-    return (*f.list)[f.idx].get();
+    return thread(ti).status == Status::Runnable ? currentStmt(ti) : nullptr;
   }
 
   /// Current value of a symbol's shared-memory cell. The explorer samples
@@ -423,6 +441,10 @@ class Machine {
   ///    last statement of a while body re-evaluates the loop condition,
   ///    which reads memory beyond the pending statement's own accesses.
   ///
+  /// An acquire the explorer runs together with its mutex body through
+  /// the unlock (`body`, see AtomicBody) also reports every cell the body
+  /// may touch.
+  ///
   /// Resumes of WaitEvent (events are never cleared) and Joining
   /// (children never leave Done) touch nothing but their own thread
   /// state and unwind reads.
@@ -437,7 +459,8 @@ class Machine {
   };
 
   /// Fills `f` (reset first; its vectors' capacity is reused).
-  void actionFacts(Action a, ActionFacts& f) const {
+  void actionFacts(Action a, ActionFacts& f,
+                   const AtomicBody* body = nullptr) const {
     f.global = f.print = f.barrier = f.anywhereRead = false;
     f.sync = SymbolId{};
     f.acc.writes.clear();
@@ -473,6 +496,7 @@ class Machine {
     switch (t.status) {
       case Status::WaitLock:
         f.sync = t.waitSym;  // the resume acquires the lock
+        if (body != nullptr) addBodyCells(*body, f.acc);
         return;
       case Status::WaitEvent:
       case Status::Joining:
@@ -491,6 +515,8 @@ class Machine {
         f.global = true;
         return;
       case ir::StmtKind::Lock:
+        if (body != nullptr) addBodyCells(*body, f.acc);
+        [[fallthrough]];
       case ir::StmtKind::Unlock:
       case ir::StmtKind::Set:
       case ir::StmtKind::Wait:
@@ -558,6 +584,7 @@ class Machine {
       add(h, outputTerm(i, outputArr()[i]));
     if (assertFailed_) add(h, flagTerm(kTagAssert));
     if (ptrError_) add(h, flagTerm(kTagPtrError));
+    if (lockError_) add(h, flagTerm(kTagLockError));
     return h;
   }
 
@@ -696,6 +723,7 @@ class Machine {
     kTagOutput,
     kTagAssert,
     kTagPtrError,
+    kTagLockError,
   };
 
   [[nodiscard]] static std::uint64_t mixA(std::uint64_t k) {
@@ -826,6 +854,32 @@ class Machine {
     if (ptrError_) return;
     ptrError_ = true;
     add(hash_, flagTerm(kTagPtrError));
+  }
+
+  void setLockError() {
+    if (lockError_) return;
+    lockError_ = true;
+    add(hash_, flagTerm(kTagLockError));
+  }
+
+  /// Appends every shared cell of the body's variables (all cells of an
+  /// array: its index is only known mid-body).
+  void addBodyCells(const AtomicBody& body, PendingAccess& acc) const {
+    const MachineLayout& L = *layout_;
+    auto addAll = [&](std::span<const SymbolId> vars,
+                      std::vector<std::pair<std::uint32_t, SymbolId>>& out) {
+      for (SymbolId v : vars) {
+        const std::uint32_t n = L.arraySize_[v.index()];
+        if (n == 0) {
+          out.emplace_back(static_cast<std::uint32_t>(v.index()), v);
+          continue;
+        }
+        for (std::uint32_t c = 0; c < n; ++c)
+          out.emplace_back(L.base_[v.index()] + c, v);
+      }
+    };
+    addAll(body.reads, acc.reads);
+    addAll(body.writes, acc.writes);
   }
 
   void appendOutput(long long v) {
@@ -1146,7 +1200,7 @@ class Machine {
         return;
       case ir::StmtKind::Unlock:
         if (holders()[s.sync.index()] != ti)
-          lockError_ = true;
+          setLockError();
         else
           setHolder(s.sync, kNoHolder);
         advance(ti);

@@ -9,13 +9,17 @@
 // count. This test sweeps the same workload families as
 // explore_parallel_test (random racy programs, lock-structured, the
 // adversarial gallery, TSO, budget-exhausted configurations) with the
-// unreduced explorer as the oracle, plus a TSO litmus gallery and a
-// reduction-factor floor on the independence-rich benchmark workload.
+// unreduced explorer as the oracle, plus a TSO litmus gallery, a
+// reduction-factor floor on the independence-rich benchmark workload,
+// and the mutex bodies the SC reduction runs as single steps.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
+#include "src/interp/dpor.h"
 #include "src/interp/explore.h"
+#include "src/interp/machine.h"
 #include "src/parser/parser.h"
 #include "src/support/budget.h"
 #include "src/workload/generator.h"
@@ -43,6 +47,7 @@ void expectIdentical(const ExploreResult& a, const ExploreResult& b,
   EXPECT_EQ(a.dpor.sleepSetHits, b.dpor.sleepSetHits);
   EXPECT_EQ(a.dpor.depQueries, b.dpor.depQueries);
   EXPECT_EQ(a.dpor.partialReexpansions, b.dpor.partialReexpansions);
+  EXPECT_EQ(a.dpor.atomicBodies, b.dpor.atomicBodies);
   EXPECT_EQ(a.peakFrontierBytes, b.peakFrontierBytes);
 }
 
@@ -76,14 +81,16 @@ void expectContract(const ExploreResult& full, const ExploreResult& reduced,
 }
 
 /// Runs the unreduced oracle, then the reduced sweep at workers 1/2/8;
-/// checks worker determinism of the reduction and the contract.
-void checkDpor(const ir::Program& prog, ExploreOptions opts,
-               const std::string& label) {
+/// checks worker determinism of the reduction and the contract. Returns
+/// the reduced result.
+ExploreResult checkDpor(const ir::Program& prog, ExploreOptions opts,
+                        const std::string& label) {
   SCOPED_TRACE(label);
   opts.dpor = false;
   opts.workers = 1;
   const ExploreResult full = exploreAllSchedules(prog, opts);
   EXPECT_EQ(full.dpor.depQueries, 0u);  // off means off
+  EXPECT_EQ(full.dpor.atomicBodies, 0u);
   opts.dpor = true;
   const ExploreResult one = exploreAllSchedules(prog, opts);
   opts.workers = 2;
@@ -93,7 +100,18 @@ void checkDpor(const ir::Program& prog, ExploreOptions opts,
   expectIdentical(one, two, "dpor workers=2 vs workers=1");
   expectIdentical(one, eight, "dpor workers=8 vs workers=1");
   expectContract(full, one, "dpor vs unreduced oracle");
+  return one;
 }
+
+/// Unlocks without holding L only when `c` is not 1 at the branch.
+const char* const kLostLockError = R"(
+  lock L; int c, x;
+  cobegin {
+    thread { if (c == 1) { lock(L); } else { x = 0; x = 0; } unlock(L); }
+    thread { c = 1; c = 0; }
+  }
+  print(x);
+)";
 
 ExploreOptions smallBudget() {
   ExploreOptions opts;
@@ -122,12 +140,19 @@ TEST(ExploreDpor, RandomWorkloadSweep) {
 }
 
 TEST(ExploreDpor, LockStructuredSweep) {
+  // Every region of this family is a straight-line body under the one
+  // lock, so the atomic-body reduction must fire (non-vacuous).
+  std::uint64_t atomicBodies = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const double lockedFraction = 0.25 * static_cast<double>(seed % 5);
-    checkDpor(workload::makeLockStructured(2, 1, 2 + static_cast<int>(seed % 2),
-                                           lockedFraction, seed),
-              smallBudget(), "makeLockStructured seed=" + std::to_string(seed));
+    atomicBodies +=
+        checkDpor(workload::makeLockStructured(
+                      2, 1, 2 + static_cast<int>(seed % 2), lockedFraction,
+                      seed),
+                  smallBudget(), "makeLockStructured seed=" + std::to_string(seed))
+            .dpor.atomicBodies;
   }
+  EXPECT_GT(atomicBodies, 0u);
 }
 
 TEST(ExploreDpor, AdversarialPrograms) {
@@ -199,6 +224,11 @@ TEST(ExploreDpor, AdversarialPrograms) {
             smallBudget(), "spin loop on a shared condition");
   checkDpor(parser::parseOrDie(workload::figure2Source()), smallBudget(),
             "paper figure 2");
+  // An unlock without holding on one branch only: a state reached with
+  // the error must not be merged with the same state reached without it.
+  EXPECT_TRUE(checkDpor(parser::parseOrDie(kLostLockError), smallBudget(),
+                        "lock error on one branch")
+                  .anyLockError);
 }
 
 TEST(ExploreDpor, BudgetExhaustedRuns) {
@@ -354,6 +384,192 @@ TEST(ExploreDpor, ReductionFloorOnScaleWorkload) {
     EXPECT_GT(reduced.dpor.prunedSuccessors, 0u);
     EXPECT_GT(reduced.dpor.depQueries, 0u);
   }
+}
+
+/// The shape of the fix_racy benchmark programs: three threads of short
+/// `lock(L)` bodies over a, b, c and r. The racy version updates r once
+/// without the lock; the patched one is what the repair engine verifies.
+const char* const kRacyShape = R"(
+  int a, b, c, r;
+  lock L;
+  cobegin {
+    thread { lock(L); a = a + 3; unlock(L); r = r + 4;
+             lock(L); b = a + 5; unlock(L); }
+    thread { lock(L); r = r + 2; unlock(L); lock(L); b = b + 1; unlock(L);
+             lock(L); c = b + 7; unlock(L); }
+    thread { lock(L); c = c + 6; unlock(L); lock(L); a = c + 2; unlock(L);
+             lock(L); r = r + 9; unlock(L); }
+  }
+  print(a); print(b); print(c); print(r);
+)";
+
+std::string patchedShape() {
+  std::string src = kRacyShape;
+  const std::string racy = " r = r + 4;";
+  src.replace(src.find(racy), racy.size(), " lock(L); r = r + 4; unlock(L);");
+  return src;
+}
+
+/// TSO states of the patched shape under DPOR, measured before atomic
+/// bodies existed.
+constexpr std::uint64_t kTsoPatchedStates = 11557;
+
+ExploreOptions shapeBudget() {
+  ExploreOptions opts = smallBudget();
+  opts.maxSteps = 1u << 20;
+  opts.maxStates = 1u << 18;
+  return opts;
+}
+
+TEST(ExploreDpor, AtomicBodiesOnTheRepairShape) {
+  // Racy: r is written unlocked, so the three bodies over r stay single
+  // steps; the race on r must still be found. Patched: every body runs
+  // as one step.
+  const ir::Program racy = parser::parseOrDie(kRacyShape);
+  const ir::Program patched = parser::parseOrDie(patchedShape());
+  EXPECT_EQ(dpor::AtomicBodies(racy).size(), 6u);
+  EXPECT_EQ(dpor::AtomicBodies(patched).size(), 9u);
+  const ExploreResult r = checkDpor(racy, shapeBudget(), "racy shape");
+  EXPECT_GT(r.dpor.atomicBodies, 0u);
+  EXPECT_EQ(r.racedVars, std::set<SymbolId>{racy.symbols.lookup("r")});
+  const ExploreResult p = checkDpor(patched, shapeBudget(), "patched shape");
+  EXPECT_GT(p.dpor.atomicBodies, 0u);
+  EXPECT_TRUE(p.racedVars.empty());
+  EXPECT_LT(p.statesExplored, r.statesExplored);
+}
+
+TEST(ExploreDpor, AtomicBodiesOnlyWhereSound) {
+  struct Case {
+    const char* label;
+    const char* src;
+    std::size_t bodies;  ///< qualifying lock statements
+  };
+  const Case cases[] = {
+      {"print in the body", R"(
+         lock L; int x;
+         cobegin {
+           thread { lock(L); x = 1; print(x); unlock(L); }
+           thread { lock(L); x = 2; unlock(L); }
+         })",
+       1},
+      // The L body holds a lock statement; the inner M bodies qualify.
+      {"nested lock", R"(
+         lock L, M; int x;
+         cobegin {
+           thread { lock(L); lock(M); x = 1; unlock(M); unlock(L); }
+           thread { lock(M); x = 2; unlock(M); }
+         }
+         print(x);)",
+       2},
+      {"variable accessed unlocked elsewhere", R"(
+         lock L; int x;
+         cobegin {
+           thread { lock(L); x = x + 1; unlock(L); }
+           thread { x = 5; }
+         }
+         print(x);)",
+       0},
+      // The pointer store races on x without naming it.
+      {"pointer program", R"(
+         lock L; int x, p;
+         cobegin {
+           thread { lock(L); x = x + 1; unlock(L); }
+           thread { p = &x; *p = 2; }
+         }
+         print(x);)",
+       0},
+      {"empty body", R"(
+         lock L; int x;
+         cobegin {
+           thread { lock(L); unlock(L); x = 1; }
+           thread { lock(L); unlock(L); x = 2; }
+         }
+         print(x);)",
+       2},
+      // The unlock in the branch ends the protection of `x = 1`.
+      {"unlock inside the region", R"(
+         lock L; int c, x;
+         cobegin {
+           thread { lock(L); if (c == 0) { unlock(L); } x = 1; unlock(L); }
+           thread { lock(L); x = x + 1; unlock(L); c = 1; }
+         }
+         print(x);)",
+       0},
+      // Unlocked accesses in main, outside every cobegin, are exempt.
+      {"main-thread accesses", R"(
+         lock L; int x;
+         x = 3;
+         cobegin {
+           thread { lock(L); x = x + 1; unlock(L); }
+           thread { lock(L); x = x * 2; unlock(L); }
+         }
+         print(x);)",
+       2},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const ir::Program prog = parser::parseOrDie(c.src);
+    EXPECT_EQ(dpor::AtomicBodies(prog).size(), c.bodies);
+    const ExploreResult r = checkDpor(prog, smallBudget(), c.label);
+    EXPECT_EQ(r.dpor.atomicBodies == 0, c.bodies == 0);
+  }
+  // The unlocked stores and the pointer store are still found racing.
+  for (const Case& c : {cases[2], cases[3], cases[5]}) {
+    const ir::Program prog = parser::parseOrDie(c.src);
+    EXPECT_EQ(checkDpor(prog, smallBudget(), c.label)
+                  .racedVars.count(prog.symbols.lookup("x")),
+              1u)
+        << c.label;
+  }
+}
+
+TEST(ExploreDpor, AtomicBodyRunsFromWaitLockResume) {
+  // Thread 1's body prints, so it runs step by step and holds L while
+  // thread 2 blocks on its own (qualifying) lock; the resume then runs
+  // thread 2's body through its unlock.
+  const ir::Program prog = parser::parseOrDie(R"(
+    lock L; int x;
+    cobegin {
+      thread { lock(L); x = 1; print(x); unlock(L); }
+      thread { lock(L); x = 2; unlock(L); }
+    }
+    print(x);
+  )");
+  const dpor::AtomicBodies bodies(prog);
+  ASSERT_EQ(bodies.size(), 1u);
+  const MachineLayout layout(prog);
+  Machine m(layout);
+  m.perform({0, false});  // spawn
+  EXPECT_EQ(bodies.of(m, {1, false}), nullptr);  // not a qualifying lock
+  ASSERT_NE(bodies.of(m, {2, false}), nullptr);
+  m.perform({1, false});  // thread 1 acquires L
+  EXPECT_EQ(bodies.of(m, {2, false}), nullptr);  // would only block
+  m.perform({2, false});
+  ASSERT_EQ(m.statusOf(2), Machine::Status::WaitLock);
+  for (int i = 0; i < 3; ++i) m.perform({1, false});  // x = 1; print; unlock
+  const AtomicBody* body = bodies.of(m, {2, false});
+  ASSERT_NE(body, nullptr);
+  EXPECT_EQ(body->steps, 2u);  // x = 2; unlock(L)
+  Machine::ActionFacts f;
+  m.actionFacts({2, false}, f, body);
+  EXPECT_EQ(f.sync, prog.symbols.lookup("L"));
+  ASSERT_EQ(f.acc.writes.size(), 1u);
+  EXPECT_EQ(f.acc.writes[0].second, prog.symbols.lookup("x"));
+
+  const ExploreResult r = checkDpor(prog, smallBudget(), "WaitLock resume");
+  EXPECT_GT(r.dpor.atomicBodies, 0u);
+  EXPECT_EQ(r.outputs.size(), 2u);  // x == 1 or x == 2 at the end
+}
+
+TEST(ExploreDpor, TsoRunsNoAtomicBodies) {
+  // Under TSO every body still runs step by step: the state count of the
+  // patched repair shape is pinned to its value before atomic bodies.
+  ExploreOptions opts = shapeBudget();
+  opts.model = support::MemoryModel::TSO;
+  const ExploreResult r = checkDpor(parser::parseOrDie(patchedShape()), opts,
+                                    "TSO patched shape");
+  EXPECT_EQ(r.dpor.atomicBodies, 0u);
+  EXPECT_EQ(r.statesExplored, kTsoPatchedStates);
 }
 
 }  // namespace

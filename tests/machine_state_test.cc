@@ -230,6 +230,46 @@ TEST(MachineState, BufferedStoresAloneDistinguishStates) {
   EXPECT_FALSE(both.stateHash128() == none.stateHash128());
 }
 
+TEST(MachineState, LockErrorAloneDistinguishesStates) {
+  // Thread 1 unlocks L without holding it unless thread 2 has set c to 1
+  // before the branch. Both schedules below end with every cell 0, both
+  // arms done and main about to join; only the lock-error bit differs,
+  // and a search that merged the two states would lose the error.
+  const char* src = R"(
+    lock L; int c, x;
+    cobegin {
+      thread { if (c == 1) { lock(L); } else { x = 0; x = 0; } unlock(L); }
+      thread { c = 1; c = 0; }
+    }
+    print(x);
+  )";
+  const ir::Program prog = parser::parseOrDie(src);
+  const MachineLayout layout(prog);
+  Machine bad = spawned(layout);
+  Machine good = bad;
+  for (std::size_t t : {1, 1, 1, 1, 2, 2}) bad.perform({t, false});
+  for (std::size_t t : {2, 1, 1, 2, 1}) good.perform({t, false});
+  for (const Machine* m : {&bad, &good}) {
+    ASSERT_EQ(m->statusOf(1), Machine::Status::Done);
+    ASSERT_EQ(m->statusOf(2), Machine::Status::Done);
+    EXPECT_EQ(m->valueOf(prog.symbols.lookup("c")), 0);
+  }
+  EXPECT_TRUE(bad.lockError());
+  EXPECT_FALSE(good.lockError());
+  EXPECT_EQ(good.lockHolderOf(prog.symbols.lookup("L")), Machine::kNoThread);
+  expectFingerprintCurrent(bad, "erroneous unlock");
+  expectFingerprintCurrent(good, "held unlock");
+  EXPECT_FALSE(bad.stateHash128() == good.stateHash128());
+  // The explorer reports the error with and without the reduction.
+  for (bool dpor : {true, false}) {
+    ExploreOptions opts;
+    opts.dpor = dpor;
+    const ExploreResult r = exploreAllSchedules(prog, opts);
+    EXPECT_TRUE(r.complete);
+    EXPECT_TRUE(r.anyLockError) << (dpor ? "dpor" : "no dpor");
+  }
+}
+
 TEST(MachineState, CopiesForkIndependently) {
   const ir::Program prog = parser::parseOrDie(R"(
     int a;
