@@ -15,10 +15,10 @@
 #include "src/driver/pipeline.h"
 #include "src/interp/explore.h"
 #include "src/ir/printer.h"
-#include "src/mutex/races.h"
 #include "src/opt/lockstats.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
+#include "src/sanalysis/csan.h"
 
 using namespace cssame;
 
@@ -48,8 +48,8 @@ int main() {
 
   driver::Compilation c = driver::analyze(prog);
   DiagEngine raceDiag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), raceDiag);
+  const sanalysis::PerVariableRaces races =
+      sanalysis::perVariableRaces(c, raceDiag);
   std::printf("=== Analysis ===\n");
   std::printf("conflict edges (dataflow):   %zu\n",
               c.graph().conflicts.size());

@@ -7,8 +7,8 @@
 
 #include "src/driver/pipeline.h"
 #include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/parser/parser.h"
+#include "src/sanalysis/csan.h"
 
 using namespace cssame;
 
@@ -18,8 +18,8 @@ void report(const char* title, const char* source) {
   std::printf("=== %s ===\n", title);
   ir::Program prog = parser::parseOrDie(source);
   driver::Compilation c = driver::analyze(prog);
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), c.diag());
+  const sanalysis::PerVariableRaces races =
+      sanalysis::perVariableRaces(c, c.diag());
   mutex::detectDeadlocks(c.graph(), c.mhp(), c.mutexes(), c.diag());
   if (c.diag().diagnostics().empty()) {
     std::printf("  no warnings\n");

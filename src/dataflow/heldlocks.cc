@@ -43,12 +43,4 @@ bool HeldLocks::reachesWithoutUnlock(NodeId from, NodeId to,
   return false;
 }
 
-std::set<SymbolId> HeldLocks::toSet(const DynBitset& bits) {
-  std::set<SymbolId> out;
-  bits.forEach([&](std::size_t i) {
-    out.insert(SymbolId{static_cast<SymbolId::value_type>(i)});
-  });
-  return out;
-}
-
 }  // namespace cssame::dataflow

@@ -1,50 +1,29 @@
 // Held-locks dataflow, as a DenseSolver instance.
 //
-// A forward may/must analysis of Lock/Unlock effects over the PFG's
-// control edges: Lock(L) adds L at the node's out, Unlock(L) removes it.
-// May = union over predecessors (some path holds the lock), must =
-// intersection (every path does). Unlike the mutex-structure locksets it
-// also covers *ill-formed* regions — a lock(L) whose unlock does not
-// post-dominate it still holds L in between — which is exactly what the
-// lock-lifecycle checks (self-deadlock, lock leak) need.
+// A forward may analysis of Lock/Unlock effects over the PFG's control
+// edges: Lock(L) adds L at the node's out, Unlock(L) removes it, and the
+// meet is union over predecessors (some path holds the lock). Unlike the
+// mutex-structure locksets it also covers *ill-formed* regions — a
+// lock(L) whose unlock does not post-dominate it still holds L in
+// between — which is exactly what the lock-lifecycle checks
+// (self-deadlock, lock leak) need.
 //
 // Lives below the driver layer so driver::Compilation can cache one
-// instance per analysis the way it caches access sites; sanalysis
-// re-exports the class under its historical name.
+// instance per analysis the way it caches access sites.
 #pragma once
-
-#include <set>
 
 #include "src/dataflow/framework.h"
 #include "src/support/bitset.h"
 
 namespace cssame::dataflow {
 
-/// The paired may/must lockset lattice solved in one sweep.
-struct LockPair {
-  DynBitset may;   ///< union over paths
-  DynBitset must;  ///< intersection over paths
-
-  friend bool operator==(const LockPair& a, const LockPair& b) {
-    return a.may == b.may && a.must == b.must;
-  }
-};
-
 class HeldLocks {
  public:
   explicit HeldLocks(const pfg::Graph& graph, SolverOptions opts = {});
 
-  /// Locks some path may hold when control *enters* the node.
-  [[nodiscard]] std::set<SymbolId> mayHeldIn(NodeId n) const {
-    return toSet(solver_.inOf(n).may);
-  }
-  /// Locks every path is known to hold when control enters the node.
-  [[nodiscard]] std::set<SymbolId> mustHeldIn(NodeId n) const {
-    return toSet(solver_.inOf(n).must);
-  }
-
+  /// Some path may hold `lock` when control *enters* the node.
   [[nodiscard]] bool mayHoldOnEntry(NodeId n, SymbolId lock) const {
-    return solver_.inOf(n).may.test(lock.index());
+    return solver_.inOf(n).test(lock.index());
   }
 
   /// True when some control path from `from`'s successors reaches `to`
@@ -57,41 +36,28 @@ class HeldLocks {
 
  private:
   struct Problem {
-    using Value = LockPair;
+    using Value = DynBitset;
     static constexpr Direction direction = Direction::Forward;
     std::size_t locks = 0;  ///< bitset width (symbol count)
 
     [[nodiscard]] const char* name() const { return "held-locks"; }
-    [[nodiscard]] LockPair boundary() const {
-      // Nothing is held at program entry, on any path.
-      return {DynBitset(locks), DynBitset(locks)};
+    /// Nothing is held at program entry.
+    [[nodiscard]] DynBitset boundary() const { return DynBitset(locks); }
+    /// Optimistic start: no path holds anything yet.
+    [[nodiscard]] DynBitset top(NodeId) const { return DynBitset(locks); }
+    void meet(DynBitset& into, const DynBitset& from) const {
+      into.unionWith(from);
     }
-    [[nodiscard]] LockPair top(NodeId) const {
-      // Optimistic start: may = {} (no path holds anything yet), must =
-      // all locks (the identity of intersection).
-      LockPair v{DynBitset(locks), DynBitset(locks)};
-      v.must.setAll();
-      return v;
-    }
-    void meet(LockPair& into, const LockPair& from) const {
-      into.may.unionWith(from.may);
-      into.must.intersectWith(from.must);
-    }
-    [[nodiscard]] LockPair transfer(const pfg::Node& n,
-                                    const LockPair& in) const {
-      LockPair out = in;
-      if (n.kind == pfg::NodeKind::Lock) {
-        out.may.set(n.syncStmt->sync.index());
-        out.must.set(n.syncStmt->sync.index());
-      } else if (n.kind == pfg::NodeKind::Unlock) {
-        out.may.reset(n.syncStmt->sync.index());
-        out.must.reset(n.syncStmt->sync.index());
-      }
+    [[nodiscard]] DynBitset transfer(const pfg::Node& n,
+                                     const DynBitset& in) const {
+      DynBitset out = in;
+      if (n.kind == pfg::NodeKind::Lock)
+        out.set(n.syncStmt->sync.index());
+      else if (n.kind == pfg::NodeKind::Unlock)
+        out.reset(n.syncStmt->sync.index());
       return out;
     }
   };
-
-  [[nodiscard]] static std::set<SymbolId> toSet(const DynBitset& bits);
 
   const pfg::Graph& graph_;
   DenseSolver<Problem> solver_;

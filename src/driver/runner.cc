@@ -13,7 +13,6 @@
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
 #include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/opt/lockstats.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
@@ -73,7 +72,7 @@ bool renderCompiled(const ir::Program& prog, const Compilation& c,
 
   if (o.doRaces) {
     DiagEngine raceDiag;
-    mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), raceDiag, c.sites());
+    (void)sanalysis::perVariableRaces(c, raceDiag);
     mutex::detectDeadlocks(c.graph(), c.mhp(), c.mutexes(), raceDiag);
     for (const auto& d : raceDiag.diagnostics())
       appendf(err, "%s\n", d.str().c_str());

@@ -92,6 +92,8 @@ class Parser {
             ? prog_.symbols.createArray(name, arraySize, shared, loc)
             : prog_.symbols.create(name, kind, shared, loc);
     scope[name] = id;
+    declDepth_.resize(prog_.symbols.size(), 0);
+    declDepth_[id.index()] = threadDepth_;
     return id;
   }
 
@@ -119,6 +121,11 @@ class Parser {
                       symbolKindName(prog_.symbols[id].kind) + ", expected " +
                       symbolKindName(expected));
     }
+    // A thread-local that a nested thread references is reachable from
+    // concurrent arms of the inner cobegin/doall: it is shared there.
+    if (expected == SymbolKind::Var && id.index() < declDepth_.size() &&
+        declDepth_[id.index()] < threadDepth_)
+      prog_.symbols[id].shared = true;
     return id;
   }
 
@@ -671,6 +678,8 @@ class Parser {
   std::vector<std::unordered_map<std::string, SymbolId>> scopes_;
   std::unordered_map<std::string, SymbolId> functions_;
   int threadDepth_ = 0;
+  /// Thread depth each declared symbol was declared at, by symbol index.
+  std::vector<int> declDepth_;
 };
 
 }  // namespace

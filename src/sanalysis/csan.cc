@@ -32,8 +32,10 @@ class Csan {
 
   CsanReport run() {
     if (opts_.races) {
-      checkRaces();
-      checkInconsistentLocking();
+      collectRaces();
+      for (const RaceWitness& w : report_.raceWitnesses) warnRacePair(w);
+      for (const auto& [var, defs] : comp_.sites().defs)
+        if (warnInconsistentLocking(var, defs)) ++report_.inconsistentLocking;
     }
     if (opts_.deadlocks)
       report_.deadlocks = mutex::detectDeadlocks(graph_, comp_.mhp(),
@@ -42,6 +44,30 @@ class Csan {
     if (opts_.bodyLints) checkMutexBodies();
     if (opts_.piReads) checkPiReads();
     return std::move(report_);
+  }
+
+  PerVariableRaces perVariable() {
+    collectRaces();
+    std::unordered_map<SymbolId, const RaceWitness*> first;
+    for (const RaceWitness& w : report_.raceWitnesses)
+      first.try_emplace(w.var, &w);
+    PerVariableRaces out;
+    for (const auto& [var, defs] : comp_.sites().defs) {
+      if (warnInconsistentLocking(var, defs)) ++out.inconsistentLocking;
+      const auto it = first.find(var);
+      if (it == first.end()) continue;
+      ++out.potentialRaces;
+      const RaceWitness& w = *it->second;
+      const SourceLoc loc =
+          w.def.stmt != nullptr ? w.def.loc : defs.front().stmt->loc;
+      Diagnostic& d = diag_.warn(
+          DiagCode::PotentialDataRace, loc,
+          "potential data race on shared variable '" + syms_.nameOf(var) +
+              "': concurrent accesses share no common lock");
+      d.note(loc, "write under lockset " + locksetStr(w.def.lockset, syms_));
+      if (w.other.stmt != nullptr) noteConcurrentSite(d, w.other);
+    }
+    return out;
   }
 
  private:
@@ -81,7 +107,7 @@ class Csan {
       }
     }
     s.loc = locOf(s.stmt);
-    s.lockset = locksetAt(node, structures_);
+    s.lockset = structures_.locksetAt(node);
     return s;
   }
 
@@ -104,16 +130,24 @@ class Csan {
                         formatPtSet(*pts, syms_));
   }
 
-  /// Access-site-granular lockset race check: one PotentialDataRace per
+  void noteConcurrentSite(Diagnostic& d, const RaceSite& s) {
+    d.note(s.loc, std::string("concurrent ") +
+                      (s.isWrite ? "write" : "read") + " under lockset " +
+                      locksetStr(s.lockset, syms_));
+  }
+
+  /// Access-site-granular lockset race check: one RaceWitness per
   /// conflicting site pair that may happen in parallel with disjoint
-  /// locksets. A strict superset of mutex::detectRaces, which reports one
-  /// warning per variable under the same condition.
-  void checkRaces() {
+  /// locksets. The same pass records which classes are ever accessed
+  /// concurrently, for the InconsistentLocking check.
+  void collectRaces() {
+    concurrent_.assign(syms_.size(), false);
     std::set<std::tuple<SymbolId, NodeId, NodeId>> seen;
     for (const pfg::ConflictEdge& e : graph_.conflicts) {
       if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
-      if (!locksetsDisjoint(locksetAt(e.from, structures_),
-                            locksetAt(e.to, structures_)))
+      concurrent_[e.var.index()] = true;
+      if (!locksetsDisjoint(structures_.locksetAt(e.from),
+                            structures_.locksetAt(e.to)))
         continue;
       const RaceSite def = makeSite(e.from, e.var, true);
       const RaceSite other = makeSite(e.to, e.var, e.toIsDef);
@@ -154,80 +188,70 @@ class Csan {
       else
         ++report_.potentialRaces;
       report_.racedVars.insert(e.var);
-      Diagnostic& d =
-          mayAlias
-              ? diag_.warn(
-                    DiagCode::MayAliasRace, def.loc,
-                    "potential data race through aliasing on the storage "
-                    "of '" +
-                        syms_.nameOf(e.var) +
-                        "': this write and a concurrent " +
-                        (other.isWrite ? "write" : "read") +
-                        " may touch the same cell and share no common lock")
-              : diag_.warn(
-                    DiagCode::PotentialDataRace, def.loc,
-                    "potential data race on shared variable '" +
-                        syms_.nameOf(e.var) + "': this write and a concurrent " +
-                        (other.isWrite ? "write" : "read") +
-                        " share no common lock");
-      d.note(def.loc, "write under lockset " +
-                          locksetStr(def.lockset, syms_));
-      d.note(other.loc, std::string("concurrent ") +
-                            (other.isWrite ? "write" : "read") +
-                            " under lockset " +
-                            locksetStr(other.lockset, syms_));
-      notePts(d, def);
-      notePts(d, other);
-      noteMhp(d, e.from, e.to);
       report_.raceWitnesses.push_back(std::move(w));
     }
   }
 
-  /// Per-variable write-consistency check, same firing condition as the
-  /// original mutex::detectRaces but with one witness note per write.
-  void checkInconsistentLocking() {
-    const analysis::AccessSites& sites = comp_.sites();
-    for (const auto& [var, defs] : sites.defs) {
-      if (defs.size() < 2) continue;
-      bool concurrent = false;
-      for (const pfg::ConflictEdge& e : graph_.conflicts)
-        if (e.var == var &&
-            comp_.mhp().mayHappenInParallel(e.from, e.to)) {
-          concurrent = true;
-          break;
-        }
-      if (!concurrent) continue;
+  /// One PotentialDataRace / MayAliasRace diagnostic per witness.
+  void warnRacePair(const RaceWitness& w) {
+    const char* otherKind = w.other.isWrite ? "write" : "read";
+    Diagnostic& d =
+        w.mayAlias
+            ? diag_.warn(DiagCode::MayAliasRace, w.def.loc,
+                         "potential data race through aliasing on the "
+                         "storage of '" +
+                             syms_.nameOf(w.var) +
+                             "': this write and a concurrent " + otherKind +
+                             " may touch the same cell and share no common "
+                             "lock")
+            : diag_.warn(DiagCode::PotentialDataRace, w.def.loc,
+                         "potential data race on shared variable '" +
+                             syms_.nameOf(w.var) +
+                             "': this write and a concurrent " + otherKind +
+                             " share no common lock");
+    d.note(w.def.loc,
+           "write under lockset " + locksetStr(w.def.lockset, syms_));
+    noteConcurrentSite(d, w.other);
+    notePts(d, w.def);
+    notePts(d, w.other);
+    noteMhp(d, w.def.node, w.other.node);
+  }
 
-      std::vector<const std::set<SymbolId>*> locksets;
-      locksets.reserve(defs.size());
-      for (const auto& d : defs)
-        locksets.push_back(&locksetAt(d.node, structures_));
-      std::set<SymbolId> intersection = *locksets.front();
-      bool anyProtected = false;
-      for (const std::set<SymbolId>* ls : locksets) {
-        anyProtected |= !ls->empty();
-        std::set<SymbolId> tmp;
-        std::set_intersection(intersection.begin(), intersection.end(),
-                              ls->begin(), ls->end(),
-                              std::inserter(tmp, tmp.begin()));
-        intersection = std::move(tmp);
-      }
-      if (!anyProtected || !intersection.empty()) continue;
-
-      ++report_.inconsistentLocking;
-      Diagnostic& d = diag_.warn(
-          DiagCode::InconsistentLocking, defs.front().stmt->loc,
-          "writes to shared variable '" + syms_.nameOf(var) +
-              "' are not consistently protected by the same lock");
-      for (std::size_t i = 0; i < defs.size(); ++i)
-        d.note(defs[i].stmt->loc,
-               "write under lockset " + locksetStr(*locksets[i], syms_));
+  /// Per-variable write-consistency check: a concurrently accessed
+  /// variable whose writes hold no common lock although some write holds
+  /// one. One witness note per write. Needs collectRaces() first.
+  bool warnInconsistentLocking(
+      SymbolId var, const std::vector<analysis::AccessSites::Def>& defs) {
+    if (defs.size() < 2 || !concurrent_[var.index()]) return false;
+    std::vector<const std::set<SymbolId>*> locksets;
+    locksets.reserve(defs.size());
+    for (const auto& d : defs)
+      locksets.push_back(&structures_.locksetAt(d.node));
+    std::set<SymbolId> intersection = *locksets.front();
+    bool anyProtected = false;
+    for (const std::set<SymbolId>* ls : locksets) {
+      anyProtected |= !ls->empty();
+      std::set<SymbolId> tmp;
+      std::set_intersection(intersection.begin(), intersection.end(),
+                            ls->begin(), ls->end(),
+                            std::inserter(tmp, tmp.begin()));
+      intersection = std::move(tmp);
     }
+    if (!anyProtected || !intersection.empty()) return false;
+
+    Diagnostic& d = diag_.warn(
+        DiagCode::InconsistentLocking, defs.front().stmt->loc,
+        "writes to shared variable '" + syms_.nameOf(var) +
+            "' are not consistently protected by the same lock");
+    for (std::size_t i = 0; i < defs.size(); ++i)
+      d.note(defs[i].stmt->loc,
+             "write under lockset " + locksetStr(*locksets[i], syms_));
+    return true;
   }
 
   /// SelfDeadlock and LockLeak over the held-locks dataflow.
   void checkLockLifecycle() {
-    const HeldLocks& held = comp_.heldLocks();
+    const dataflow::HeldLocks& held = comp_.heldLocks();
     for (const pfg::Node& n : graph_.nodes()) {
       if (n.kind != pfg::NodeKind::Lock) continue;
       const SymbolId lock = n.syncStmt->sync;
@@ -351,13 +375,12 @@ class Csan {
     for (SsaNameId piId : ssa.livePis()) {
       const ssa::Definition& pi = ssa.def(piId);
       if (pi.piConflictArgs.empty()) continue;
-      const std::set<SymbolId>& useLs = locksetAt(pi.node, structures_);
+      const std::set<SymbolId>& useLs = structures_.locksetAt(pi.node);
       bool warned = false;
       for (const ssa::PiConflictArg& arg : pi.piConflictArgs) {
         if (!comp_.mhp().mayHappenInParallel(arg.fromNode, pi.node))
           continue;
-        const std::set<SymbolId>& defLs =
-            locksetAt(arg.fromNode, structures_);
+        const std::set<SymbolId>& defLs = structures_.locksetAt(arg.fromNode);
         if (!locksetsDisjoint(useLs, defLs)) continue;
         if (!warned) {
           warned = true;
@@ -384,6 +407,9 @@ class Csan {
   const ir::SymbolTable& syms_;
   const mutex::MutexStructures& structures_;
   std::unordered_map<StmtId, const ir::Stmt*> cobeginStmt_;
+  /// Indexed by SymbolId: the class has a conflict edge that may happen
+  /// in parallel. Filled by collectRaces().
+  std::vector<bool> concurrent_;
   CsanReport report_;
 };
 
@@ -392,6 +418,11 @@ class Csan {
 CsanReport runCsan(const driver::Compilation& comp, DiagEngine& diag,
                    const CsanOptions& opts) {
   return Csan(comp, diag, opts).run();
+}
+
+PerVariableRaces perVariableRaces(const driver::Compilation& comp,
+                                  DiagEngine& diag) {
+  return Csan(comp, diag, {}).perVariable();
 }
 
 }  // namespace cssame::sanalysis

@@ -10,8 +10,8 @@
 //                their locksets, and the MHP justification (the cobegin
 //                whose sibling arms the sites run in). Also the
 //                per-variable InconsistentLocking write check, with one
-//                note per write site. Subsumes mutex::detectRaces: any
-//                program the old check warns about, csan warns about too.
+//                note per write site. perVariableRaces() folds the pairs
+//                back into the paper's one-warning-per-variable form.
 //   deadlocks    PotentialDeadlock via mutex::detectDeadlocks (ABBA pairs
 //                and longer lock-order cycles, with witness notes).
 //   lifecycle    SelfDeadlock (re-acquiring a lock that may already be
@@ -36,7 +36,6 @@
 
 #include "src/driver/pipeline.h"
 #include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/support/diag.h"
 
 namespace cssame::sanalysis {
@@ -116,5 +115,19 @@ struct CsanReport {
 [[nodiscard]] CsanReport runCsan(const driver::Compilation& comp,
                                  DiagEngine& diag,
                                  const CsanOptions& opts = {});
+
+struct PerVariableRaces {
+  std::size_t inconsistentLocking = 0;  ///< variables
+  std::size_t potentialRaces = 0;       ///< variables
+};
+
+/// The paper's Section 6 lock-consistency warnings (`cssamec --races`):
+/// a per-variable view of csan's race findings. For each shared variable,
+/// in AccessSites::defs order, it emits csan's InconsistentLocking
+/// warning, then one PotentialDataRace rendered from the variable's first
+/// RaceWitness in graph.conflicts order — anchored at its write, with one
+/// note per site and its lockset, and no MHP or points-to notes.
+[[nodiscard]] PerVariableRaces perVariableRaces(
+    const driver::Compilation& comp, DiagEngine& diag);
 
 }  // namespace cssame::sanalysis

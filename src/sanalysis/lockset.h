@@ -1,37 +1,18 @@
-// Lockset machinery for the static concurrency analyzer (csan).
+// Lockset helpers for the static concurrency analyzers (csan, tso).
 //
-// Two complementary views of "which locks protect this point":
-//
-//   - locksetAt(): the mutex-structure lockset — locks whose *well-formed*
-//     mutex bodies (paper Definition 3/4) contain the node. This is the
-//     must-hold notion the Section 6 race warnings are defined over; csan
-//     uses it for every access-site lockset so its race verdicts agree
-//     with (and subsume) the original checks.
-//
-//   - HeldLocks: a forward may/must dataflow of Lock/Unlock effects over
-//     the PFG's control edges. Unlike mutex structures it also covers
-//     *ill-formed* regions (a lock(L) whose unlock does not post-dominate
-//     it still holds L in between), which is exactly what the
-//     lock-lifecycle checks need: re-acquiring a lock that may already be
-//     held (self-deadlock) and paths that leave the program with a lock
-//     held (lock leak).
+// An access site's lockset is MutexStructures::locksetAt(): the locks
+// whose *well-formed* mutex bodies (paper Definition 3/4) contain the
+// node — the must-hold notion the Section 6 race warnings are defined
+// over. The lock-lifecycle checks, which also need *ill-formed* regions,
+// use the held-locks dataflow (dataflow::HeldLocks) instead.
 #pragma once
 
 #include <set>
 #include <string>
 
-#include "src/dataflow/heldlocks.h"
-#include "src/mutex/mutex_structures.h"
-#include "src/pfg/graph.h"
+#include "src/ir/symbol.h"
 
 namespace cssame::sanalysis {
-
-/// Locks whose well-formed mutex bodies contain `node` (the node's
-/// lockset for race checking), as memoized by the mutex structures.
-[[nodiscard]] inline const std::set<SymbolId>& locksetAt(
-    NodeId node, const mutex::MutexStructures& structures) {
-  return structures.locksetAt(node);
-}
 
 [[nodiscard]] bool locksetsDisjoint(const std::set<SymbolId>& a,
                                     const std::set<SymbolId>& b);
@@ -39,12 +20,5 @@ namespace cssame::sanalysis {
 /// Renders "{L, M}" / "{}" for diagnostics and witness notes.
 [[nodiscard]] std::string locksetStr(const std::set<SymbolId>& lockset,
                                      const ir::SymbolTable& syms);
-
-/// Forward held-locks dataflow over control edges. Lock(L) adds L at the
-/// node's out; Unlock(L) removes it. May = union over predecessors
-/// (some path holds the lock), must = intersection (every path does).
-/// Now an instance of the generic dataflow framework; re-exported here
-/// under its historical name for the csan checks and their tests.
-using HeldLocks = dataflow::HeldLocks;
 
 }  // namespace cssame::sanalysis

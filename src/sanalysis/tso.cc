@@ -151,8 +151,8 @@ class Tso {
     const mutex::MutexStructures& mutexes = comp_.mutexes();
     for (const pfg::ConflictEdge& e : graph_.conflicts) {
       if (!comp_.mhp().mayHappenInParallel(e.from, e.to)) continue;
-      if (!locksetsDisjoint(locksetAt(e.from, mutexes),
-                            locksetAt(e.to, mutexes)))
+      if (!locksetsDisjoint(mutexes.locksetAt(e.from),
+                            mutexes.locksetAt(e.to)))
         continue;
       racy_.emplace(std::make_pair(e.from, e.var),
                     RemoteSite{e.to, e.toIsDef});

@@ -5,8 +5,6 @@
 
 #include "src/driver/pipeline.h"
 #include "src/interp/explore.h"
-#include "src/mutex/deadlock.h"
-#include "src/mutex/races.h"
 #include "src/parser/parser.h"
 #include "src/sanalysis/csan.h"
 #include "src/workload/paper_programs.h"
@@ -92,34 +90,41 @@ TEST(Csan, EveryRaceWitnessHasBothSites) {
 // --- subsumption of the original checks ------------------------------
 
 TEST(Csan, SubsumesOriginalRaceAndDeadlockChecks) {
-  const char* programs[] = {
-      workload::figure1Source(),
-      workload::figure2Source(),
-      "int a; cobegin { thread { a = 1; } thread { a = 2; } } print(a);",
-      "int a; lock L1, L2; cobegin {"
-      "  thread { lock(L1); a = 1; unlock(L1); }"
-      "  thread { lock(L2); a = 2; unlock(L2); } } print(a);",
-      "int a; lock L, M; cobegin {"
-      "  thread { lock(L); lock(M); a = 1; unlock(M); unlock(L); }"
-      "  thread { lock(M); lock(L); a = 2; unlock(L); unlock(M); } }",
+  // Counts the original per-variable race engine and the deadlock
+  // detector reported on each program, pinned as literals.
+  struct Case {
+    const char* src;
+    std::size_t inconsistent, perVariableRaces, abba, cycles;
   };
-  for (const char* src : programs) {
-    ir::Program p = parser::parseOrDie(src);
+  const Case cases[] = {
+      {workload::figure1Source(), 2, 1, 0, 0},
+      {workload::figure2Source(), 2, 0, 0, 0},
+      {"int a; cobegin { thread { a = 1; } thread { a = 2; } } print(a);", 0,
+       1, 0, 0},
+      {"int a; lock L1, L2; cobegin {"
+       "  thread { lock(L1); a = 1; unlock(L1); }"
+       "  thread { lock(L2); a = 2; unlock(L2); } } print(a);",
+       1, 1, 0, 0},
+      {"int a; lock L, M; cobegin {"
+       "  thread { lock(L); lock(M); a = 1; unlock(M); unlock(L); }"
+       "  thread { lock(M); lock(L); a = 2; unlock(L); unlock(M); } }",
+       0, 0, 1, 0},
+  };
+  for (const Case& k : cases) {
+    ir::Program p = parser::parseOrDie(k.src);
     driver::Compilation c = driver::analyze(p, {.warnings = false});
-    DiagEngine oldDiag;
-    const mutex::RaceReport oldRaces =
-        mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), oldDiag);
-    const mutex::DeadlockReport oldDl =
-        mutex::detectDeadlocks(c.graph(), c.mhp(), c.mutexes(), oldDiag);
+    DiagEngine viewDiag;
+    const PerVariableRaces view = perVariableRaces(c, viewDiag);
+    EXPECT_EQ(view.inconsistentLocking, k.inconsistent) << k.src;
+    EXPECT_EQ(view.potentialRaces, k.perVariableRaces) << k.src;
 
     DiagEngine diag;
     const CsanReport r = runCsan(c, diag);
-    // Race granularity differs (site pairs vs variables), so >=; the
-    // deadlock detector is delegated, so counts match exactly.
-    EXPECT_GE(r.potentialRaces, oldRaces.potentialRaces) << src;
-    EXPECT_EQ(r.inconsistentLocking, oldRaces.inconsistentLocking) << src;
-    EXPECT_EQ(r.deadlocks.abbaPairs, oldDl.abbaPairs) << src;
-    EXPECT_EQ(r.deadlocks.orderCycles, oldDl.orderCycles) << src;
+    // Race granularity differs (site pairs vs variables), so >=.
+    EXPECT_GE(r.potentialRaces, view.potentialRaces) << k.src;
+    EXPECT_EQ(r.inconsistentLocking, k.inconsistent) << k.src;
+    EXPECT_EQ(r.deadlocks.abbaPairs, k.abba) << k.src;
+    EXPECT_EQ(r.deadlocks.orderCycles, k.cycles) << k.src;
   }
 }
 

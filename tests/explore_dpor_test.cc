@@ -229,6 +229,30 @@ TEST(ExploreDpor, AdversarialPrograms) {
   EXPECT_TRUE(checkDpor(parser::parseOrDie(kLostLockError), smallBudget(),
                         "lock error on one branch")
                   .anyLockError);
+  // `t` is local to the outer thread but both arms of the inner cobegin
+  // touch it, so it is shared: the unlocked write must still interleave
+  // with the locked increment.
+  const ir::Program nested = parser::parseOrDie(R"(
+    lock L;
+    cobegin {
+      thread {
+        int t;
+        cobegin {
+          thread { lock(L); t = t + 1; unlock(L); }
+          thread { t = 2; }
+        }
+        print(t);
+      }
+    }
+  )");
+  const std::set<std::vector<long long>> twoOrThree = {{2}, {3}};
+  EXPECT_EQ(checkDpor(nested, smallBudget(), "thread-local shared by a "
+                                             "nested cobegin")
+                .outputs,
+            twoOrThree);
+  ExploreOptions unreduced = smallBudget();
+  unreduced.dpor = false;
+  EXPECT_EQ(exploreAllSchedules(nested, unreduced).outputs, twoOrThree);
 }
 
 TEST(ExploreDpor, BudgetExhaustedRuns) {

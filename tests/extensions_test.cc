@@ -8,9 +8,9 @@
 #include "src/driver/pipeline.h"
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
-#include "src/mutex/races.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
+#include "src/sanalysis/csan.h"
 
 namespace cssame {
 namespace {
@@ -180,8 +180,8 @@ TEST(BarrierMhp, PhaseSeparationRemovesRaces) {
   )");
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
+  const sanalysis::PerVariableRaces races =
+      sanalysis::perVariableRaces(c, diag);
   // a=1 (phase 0, T0) vs print(a) (phase 1, T1): separated by barrier.
   // b=a+1 (phase 1, T0) vs print(a) (phase 1, T1): same phase but only
   // reads conflict-free... b is written in T0 only. So: no races at all.
@@ -199,8 +199,8 @@ TEST(BarrierMhp, SamePhaseStillRaces) {
   )");
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
+  const sanalysis::PerVariableRaces races =
+      sanalysis::perVariableRaces(c, diag);
   EXPECT_EQ(races.potentialRaces, 1u);
 }
 
@@ -240,8 +240,8 @@ TEST(BarrierMhp, BarrierInLoopDisablesRefinement) {
   )");
   driver::Compilation c = driver::analyze(prog, {.warnings = false});
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
+  const sanalysis::PerVariableRaces races =
+      sanalysis::perVariableRaces(c, diag);
   // With the refinement disabled, a=1 vs print(a) must stay a potential
   // race (conservative).
   EXPECT_GE(races.potentialRaces, 1u);

@@ -9,10 +9,10 @@
 #include "src/interp/interp.h"
 #include "src/ir/printer.h"
 #include "src/ir/verify.h"
-#include "src/mutex/races.h"
 #include "src/opt/lockstats.h"
 #include "src/opt/optimize.h"
 #include "src/parser/parser.h"
+#include "src/sanalysis/csan.h"
 
 namespace cssame {
 namespace {
@@ -197,8 +197,8 @@ TEST(Integration, DiagnosticsOnMessyProgram) {
   )");
   driver::Compilation c = driver::analyze(prog);
   DiagEngine diag;
-  mutex::RaceReport races =
-      mutex::detectRaces(c.graph(), c.mhp(), c.mutexes(), diag);
+  const sanalysis::PerVariableRaces races =
+      sanalysis::perVariableRaces(c, diag);
   // shared1: inconsistent locks; shared2: unlocked writes.
   EXPECT_EQ(races.inconsistentLocking, 1u);
   EXPECT_EQ(races.potentialRaces, 2u);
